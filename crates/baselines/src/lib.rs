@@ -8,7 +8,7 @@
 //!   our combination enumeration and the triangular-`L2` optimization is
 //!   available as a switch.
 //! * [`ccpd_shm`] — **CCPD on real shared memory** \[16\]: one shared
-//!   candidate hash tree with atomic counts, rayon tasks as processors —
+//!   candidate hash tree with atomic counts, one OS thread per processor —
 //!   the runnable multicore baseline.
 //! * [`candidate_dist`] — **Candidate Distribution** (§3.2): Count
 //!   Distribution up to a chosen pass `l`, then candidates are

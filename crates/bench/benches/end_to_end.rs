@@ -1,5 +1,5 @@
 //! End-to-end wall-clock mining on a scaled `T10.I6` database: sequential
-//! Eclat vs Apriori vs the rayon-parallel Eclat, plus the recursive
+//! Eclat vs Apriori vs the thread-parallel Eclat, plus the recursive
 //! kernel alone. Complements the simulated-time Table 2 with *real* times
 //! on the build machine.
 
@@ -23,8 +23,19 @@ fn bench_miners(c: &mut Criterion) {
     group.bench_function("eclat_sequential", |bench| {
         bench.iter(|| black_box(eclat::sequential::mine(&db, minsup).len()))
     });
-    group.bench_function("eclat_rayon", |bench| {
-        bench.iter(|| black_box(eclat::parallel::mine(&db, minsup).len()))
+    group.bench_function("eclat_parallel", |bench| {
+        bench.iter(|| {
+            black_box(
+                eclat::pipeline::run(
+                    &db,
+                    minsup,
+                    &eclat::EclatConfig::default(),
+                    &mut mining_types::OpMeter::new(),
+                    &eclat::Threads::new(0),
+                )
+                .len(),
+            )
+        })
     });
     group.bench_function("apriori", |bench| {
         bench.iter(|| black_box(apriori::mine(&db, minsup).len()))

@@ -1,6 +1,7 @@
 //! Sequence-mining benchmark: generates a Quest-style sequence
-//! database and runs the SPADE kernel under every execution policy,
-//! equality-asserting parallel results against sequential before
+//! database and runs the SPADE kernel on one thread and on `--threads`
+//! threads (`0`, the default, = one per core), equality-asserting the
+//! parallel result against sequential before
 //! reporting times, then sweeps `--maxlen` to show how the cap trades
 //! pattern depth for work.
 //!
@@ -14,8 +15,7 @@
 //! diverge from the sequential baseline aborts the run instead of
 //! printing a meaningless speedup. `scripts/check.sh` runs `--smoke`.
 
-use eclat::executor::TaskExecutor;
-use eclat::pipeline::{FixedThreads, Rayon, Serial};
+use eclat::pipeline::{Serial, Threads};
 use eclat_seq::{mine_stats, FrequentSequences, SeqConfig, SeqDb, SeqStats};
 use mining_types::json::{Arr, Obj};
 use mining_types::stats::MiningStats;
@@ -41,22 +41,16 @@ struct MaxlenRow {
     secs: f64,
 }
 
-/// A deferred mining run: `(policy name, thunk)`.
-type PolicyRun<'a> = (
-    &'static str,
-    Box<dyn Fn() -> (FrequentSequences, MiningStats, f64) + 'a>,
-);
-
 fn timed_mine(
     db: &SeqDb,
     minsup: MinSupport,
     cfg: &SeqConfig,
-    policy: &impl TaskExecutor,
+    threads: &Threads,
     variant: &str,
 ) -> (FrequentSequences, MiningStats, f64) {
     let mut meter = OpMeter::new();
     let t0 = Instant::now();
-    let (fs, stats) = mine_stats(db, minsup, cfg, &mut meter, policy, variant);
+    let (fs, stats) = mine_stats(db, minsup, cfg, &mut meter, threads, variant);
     (fs, stats, t0.elapsed().as_secs_f64())
 }
 
@@ -98,34 +92,22 @@ fn main() {
         secs: base_secs,
         speedup: 1.0,
     }];
-    let parallel: [PolicyRun; 2] = [
-        (
-            "rayon",
-            Box::new(|| timed_mine(&db, minsup, &cfg, &Rayon, "rayon")),
-        ),
-        (
-            "threads",
-            Box::new(|| timed_mine(&db, minsup, &cfg, &FixedThreads::new(threads), "threads")),
-        ),
-    ];
-    for (name, run) in &parallel {
-        let (fs, stats, secs) = run();
-        assert_eq!(
-            fs, base_fs,
-            "{name}: parallel frequent sequences diverged from sequential"
-        );
-        assert_eq!(
-            stats.total_ops, base_stats.total_ops,
-            "{name}: merged op counts diverged from sequential"
-        );
-        policies.push(PolicyRow {
-            policy: name,
-            frequent: fs.len() as u64,
-            total_ops_joins: stats.total_ops.tid_cmp,
-            secs,
-            speedup: base_secs / secs.max(1e-9),
-        });
-    }
+    let (fs, stats, secs) = timed_mine(&db, minsup, &cfg, &Threads::new(threads), "threads");
+    assert_eq!(
+        fs, base_fs,
+        "threads: parallel frequent sequences diverged from sequential"
+    );
+    assert_eq!(
+        stats.total_ops, base_stats.total_ops,
+        "threads: merged op counts diverged from sequential"
+    );
+    policies.push(PolicyRow {
+        policy: "threads",
+        frequent: fs.len() as u64,
+        total_ops_joins: stats.total_ops.tid_cmp,
+        secs,
+        speedup: base_secs / secs.max(1e-9),
+    });
 
     let widths = [12usize, 9, 12, 9, 8];
     println!(

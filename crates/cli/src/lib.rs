@@ -101,6 +101,7 @@ use common::{
     StatsMode,
 };
 use dbstore::{binfmt, HorizontalDb};
+use eclat::pipeline::{self, Threads};
 use memchannel::{ClusterConfig, CostModel};
 use mining_types::{FrequentSet, MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams, SeqGenerator, SeqParams};
@@ -150,13 +151,14 @@ pub fn usage() -> String {
        seq      --input FILE (--minsup|--support) PCT [--maxlen K]\n\
                 [--policy serial|rayon|threads[:P]] [--top N]\n\
                 [--out SNAPSHOT] [--verify] [--stats[=json]] [--trace PATH]\n\
+                (rayon, threads and threads:0 all run one thread per core)\n\
        rules    --input FILE --support PCT --confidence FRAC [--top N]\n\
        simulate --input FILE --support PCT [--hosts H] [--procs P]\n\
                 [--algorithm eclat|hybrid|countdist]\n\
                 [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]\n\
                 [--stats[=json]]\n\
        worker   [--listen HOST:PORT] [--threads P] [--mem-budget BYTES]\n\
-                [--port-file PATH] [--serve-secs S]\n\
+                [--port-file PATH] [--serve-secs S]   (--threads 0 = one per core)\n\
        dmine    --input FILE --support PCT (--workers HOST:PORT,... | --spawn-local N)\n\
                 [--threads P] [--mem-budget BYTES]\n\
                 [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]\n\
@@ -330,7 +332,7 @@ fn mine_by_algorithm(
     let cfg = eclat::EclatConfig::with_representation(representation);
     Ok(match algorithm {
         "eclat" => eclat::sequential::mine_with(db, minsup, &cfg, &mut meter),
-        "parallel" => eclat::parallel::mine_with(db, minsup, &cfg, &mut meter),
+        "parallel" => pipeline::run(db, minsup, &cfg, &mut meter, &Threads::new(0)),
         "apriori" => {
             if representation != eclat::Representation::default() {
                 return Err("--representation applies to the eclat variants only".to_string());
@@ -443,7 +445,9 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
         let mut meter = OpMeter::new();
         let (fs, r) = match algorithm {
             "eclat" => eclat::sequential::mine_stats(&db, minsup, &cfg, &mut meter),
-            "parallel" => eclat::parallel::mine_stats(&db, minsup, &cfg, &mut meter),
+            "parallel" => {
+                pipeline::run_stats(&db, minsup, &cfg, &mut meter, &Threads::new(0), "parallel")
+            }
             other => {
                 return Err(format!(
                     "--stats supports --algorithm eclat|parallel, not '{other}'"
@@ -2259,8 +2263,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("generated C10.T4.S4.I2.D300"), "{out}");
 
-        // Mine under all three policies; reports must be byte-identical
-        // after the wall-clock headline.
+        // Mine under every policy spelling; reports must be
+        // byte-identical after the wall-clock headline.
         let tail = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
         let base = run(&argv(&[
             "seq", "--input", &path, "--minsup", "4", "--verify",
@@ -2269,7 +2273,7 @@ mod tests {
         assert!(base.contains("frequent sequences"), "{base}");
         assert!(base.contains("[verified]"), "{base}");
         assert!(base.contains("len  2:"), "{base}");
-        for policy in ["rayon", "threads:3"] {
+        for policy in ["rayon", "threads", "threads:0", "threads:3"] {
             let par = run(&argv(&[
                 "seq", "--input", &path, "--minsup", "4", "--policy", policy,
             ]))

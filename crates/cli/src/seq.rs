@@ -17,30 +17,24 @@
 
 use crate::common::{arm_tracing, stats_mode, support_of, Flags, StatsMode};
 use dbstore::seqfmt;
-use eclat::pipeline::{FixedThreads, Rayon, Serial};
-use eclat_seq::{mine_stats, reference, FrequentSequences, SeqConfig, SeqDb, SeqStats};
-use mining_types::stats::MiningStats;
-use mining_types::{MinSupport, OpMeter};
+use eclat::pipeline::{Serial, Threads};
+use eclat_seq::{mine_stats, reference, SeqConfig, SeqDb, SeqStats};
+use mining_types::OpMeter;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-/// Which executor `--policy` asked for.
-enum Policy {
-    Serial,
-    Rayon,
-    Threads(usize),
-}
-
-fn policy_of(flags: &Flags) -> Result<Policy, String> {
+/// The executor `--policy` asked for, with its stats `variant` label.
+/// `rayon`, bare `threads` and `threads:0` all mean one thread per core.
+fn policy_of(flags: &Flags) -> Result<(Threads, &'static str), String> {
     match flags.get("policy").unwrap_or("serial") {
-        "serial" => Ok(Policy::Serial),
-        "rayon" => Ok(Policy::Rayon),
-        "threads" => Ok(Policy::Threads(0)),
+        "serial" => Ok((Serial, "sequential")),
+        "rayon" => Ok((Threads::new(0), "rayon")),
+        "threads" => Ok((Threads::new(0), "threads")),
         other => match other.split_once(':') {
             Some(("threads", p)) => {
                 let threads: usize = p.parse().map_err(|_| format!("bad thread count '{p}'"))?;
-                Ok(Policy::Threads(threads))
+                Ok((Threads::new(threads), "threads"))
             }
             _ => Err(format!(
                 "unknown policy '{other}' (serial|rayon|threads[:P])"
@@ -58,31 +52,10 @@ fn load_seq_db(flags: &Flags) -> Result<SeqDb, String> {
     Ok(SeqDb::from_events(raw))
 }
 
-fn run_policy(
-    db: &SeqDb,
-    minsup: MinSupport,
-    cfg: &SeqConfig,
-    policy: &Policy,
-) -> (FrequentSequences, MiningStats) {
-    let mut meter = OpMeter::new();
-    match policy {
-        Policy::Serial => mine_stats(db, minsup, cfg, &mut meter, &Serial, "sequential"),
-        Policy::Rayon => mine_stats(db, minsup, cfg, &mut meter, &Rayon, "rayon"),
-        Policy::Threads(p) => mine_stats(
-            db,
-            minsup,
-            cfg,
-            &mut meter,
-            &FixedThreads::new(*p),
-            "threads",
-        ),
-    }
-}
-
 pub(crate) fn cmd_seq(flags: &Flags) -> Result<String, String> {
     let db = load_seq_db(flags)?;
     let minsup = support_of(flags)?;
-    let policy = policy_of(flags)?;
+    let (threads, variant) = policy_of(flags)?;
     let maxlen: Option<u32> = flags
         .get("maxlen")
         .map(str::parse)
@@ -100,7 +73,7 @@ pub(crate) fn cmd_seq(flags: &Flags) -> Result<String, String> {
         ..SeqConfig::default()
     };
     let t0 = std::time::Instant::now();
-    let (fs, mining) = run_policy(&db, minsup, &cfg, &policy);
+    let (fs, mining) = mine_stats(&db, minsup, &cfg, &mut OpMeter::new(), &threads, variant);
     let dt = t0.elapsed().as_secs_f64();
 
     let verified = if flags.has("verify") {
@@ -181,4 +154,25 @@ pub(crate) fn cmd_seq(flags: &Flags) -> Result<String, String> {
         out.push_str(&report.mining.render());
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::parse_flags;
+
+    fn policy(spelling: &str) -> (Threads, &'static str) {
+        let argv = ["--policy".to_string(), spelling.to_string()];
+        policy_of(&parse_flags(&argv).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn policy_spellings_resolve_to_thread_counts() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(policy("serial"), (Serial, "sequential"));
+        assert_eq!(policy("rayon"), (Threads::new(cores), "rayon"));
+        assert_eq!(policy("threads"), (Threads::new(cores), "threads"));
+        assert_eq!(policy("threads:0"), (Threads::new(cores), "threads"));
+        assert_eq!(policy("threads:3").0.get(), 3);
+    }
 }

@@ -20,7 +20,8 @@
 
 use crate::compute::EclatConfig;
 use crate::equivalence::{ClassMember, EquivalenceClass};
-use crate::pipeline::{self, ExecutionPolicy, Serial};
+use crate::pipeline;
+use crate::transform::count_pairs;
 use mining_types::{FrequentSet, FxHashMap, FxHashSet, ItemId, OpMeter};
 
 /// The `L2` adjacency relation restricted to one prefix class.
@@ -171,7 +172,7 @@ pub fn mine_with(
 ) -> FrequentSet {
     let threshold = minsup.count_threshold(db.num_transactions());
     let mut out = FrequentSet::new();
-    let tri = Serial.count_pairs(db, meter);
+    let tri = count_pairs(db, 0..db.num_transactions(), meter);
     let l2 = pipeline::frequent_l2(&tri, threshold);
     if cfg.include_singletons {
         pipeline::insert_frequent_singletons(db, threshold, meter, &mut out);

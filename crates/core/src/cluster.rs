@@ -257,8 +257,13 @@ pub fn mine_cluster(
             .into_iter()
             .map(|(s, l)| (pairs_only[s].0, pairs_only[s].1, l))
             .collect();
-        let (local, class_stats) =
-            pipeline::mine_classes(classes_of_l2(pairs_with_lists), threshold, cfg, &mut meter);
+        let (local, class_stats) = pipeline::mine_classes(
+            classes_of_l2(pairs_with_lists),
+            threshold,
+            cfg,
+            &mut meter,
+            &pipeline::Serial,
+        );
         rec.compute(&meter);
         async_ops.merge(&meter);
         for cs in class_stats {

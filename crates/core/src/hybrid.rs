@@ -270,8 +270,13 @@ pub fn mine_hybrid(
                 rec.disk_read(bytes);
             }
             let mut meter = OpMeter::new();
-            let (local_out, class_stats) =
-                crate::pipeline::mine_classes(my_classes, threshold, cfg, &mut meter);
+            let (local_out, class_stats) = crate::pipeline::mine_classes(
+                my_classes,
+                threshold,
+                cfg,
+                &mut meter,
+                &crate::pipeline::Serial,
+            );
             rec.compute(&meter);
             async_ops.merge(&meter);
             for cs in class_stats {

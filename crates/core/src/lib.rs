@@ -13,14 +13,14 @@
 //!
 //! The drivers share the three-phase [`pipeline`] (§7's three scans:
 //! initialization/`L2` counting → vertical transformation → asynchronous
-//! per-class mining), parameterized by an execution policy:
+//! per-class mining), run on an [`executor::Threads`] pool:
 //!
-//! * [`sequential`] — the pipeline under the single-processor
-//!   [`pipeline::Serial`] policy (§5, specialized to one processor);
-//! * [`parallel`] — the pipeline under the shared-memory
-//!   [`pipeline::Rayon`] policy: classes are independent (§4.1), so they
-//!   become rayon tasks — the API a downstream user wants on a modern
-//!   multicore box;
+//! * [`sequential`] — the pipeline on the one-thread
+//!   [`pipeline::Serial`] pool (§5, specialized to one processor);
+//!   `pipeline::run` on `Threads::new(0)` is the shared-memory parallel
+//!   variant: classes are independent (§4.1), so every core pulls the
+//!   heaviest class still waiting — the API a downstream user wants on a
+//!   modern multicore box;
 //! * [`cluster`] — the paper's distributed algorithm, phase for phase
 //!   (Figure 2: initialization / transformation / asynchronous / final
 //!   reduction), composing the pipeline's phase helpers around the
@@ -39,8 +39,9 @@
 //! Supporting modules: [`equivalence`] (prefix-class partitioning, §4.1,
 //! generic over the representation), [`schedule`] (greedy least-loaded
 //! class scheduling with `C(s,2)` weights, §5.2.1), [`executor`] (the
-//! [`TaskExecutor`] face of the three policies — weighted independent
-//! tasks in task order, reused by the `eclat-seq` sequence miner),
+//! one in-process parallel executor — weighted independent tasks pulled
+//! heaviest-first, results in task order, reused by the `eclat-seq`
+//! sequence miner, the streaming engine and the distributed worker),
 //! [`transform`]
 //! (horizontal → vertical transformation with §6.3's offset placement),
 //! and [`diffset_mine`] (the d-Eclat entry point — a thin wrapper over
@@ -54,12 +55,11 @@ pub mod equivalence;
 pub mod executor;
 pub mod hybrid;
 pub mod maximal;
-pub mod parallel;
 pub mod pipeline;
 pub mod schedule;
 pub mod sequential;
 pub mod transform;
 
 pub use compute::{EclatConfig, Representation, DEFAULT_DENSITY_PERMILLE};
-pub use executor::TaskExecutor;
+pub use executor::Threads;
 pub use schedule::ScheduleHeuristic;

@@ -22,9 +22,8 @@
 
 use crate::compute::{join_level, EclatConfig, JoinHandler, Representation};
 use crate::equivalence::{ClassMember, EquivalenceClass};
-use crate::pipeline::{
-    self, ExecutionPolicy, Serial, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE, PHASE_TRANSFORM,
-};
+use crate::pipeline::{self, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE, PHASE_TRANSFORM};
+use crate::transform::count_pairs;
 use dbstore::HorizontalDb;
 use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
 use mining_types::{FrequentSet, Itemset, MinSupport, OpMeter};
@@ -66,7 +65,7 @@ pub fn mine_maximal_stats(
 
     // --- Phase 1 (initialization, §5.1): triangular counts of all pairs.
     let t_init = Instant::now();
-    let tri = Serial.count_pairs(db, meter);
+    let tri = count_pairs(db, 0..db.num_transactions(), meter);
     let l2 = pipeline::frequent_l2(&tri, threshold);
     stats.record_level(2, tri.cells() as u64, l2.len() as u64);
     stats.phases.push(PhaseStats {

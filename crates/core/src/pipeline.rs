@@ -6,30 +6,34 @@
 //! each driver carried its own copy of the glue. This module owns the
 //! three phases once:
 //!
-//! 1. **Initialization** ([`ExecutionPolicy::count_pairs`] →
-//!    [`frequent_l2`], plus [`insert_frequent_singletons`]) — triangular
-//!    pair counting on the horizontal layout (§5.1);
+//! 1. **Initialization** ([`count_pairs_blocked`] → [`frequent_l2`], plus
+//!    [`insert_frequent_singletons`]) — triangular pair counting on the
+//!    horizontal layout (§5.1);
 //! 2. **Transformation** ([`vertical_classes`]) — build the `L2`
 //!    tid-lists and group them into prefix equivalence classes (§5.2.2,
 //!    §4.1);
-//! 3. **Asynchronous phase** ([`ExecutionPolicy::mine_classes`] →
-//!    [`mine_class`]) — per-class recursive mining (§5.3), dispatched to
-//!    the representation picked by [`EclatConfig::representation`].
+//! 3. **Asynchronous phase** ([`mine_classes`] → [`mine_class`]) —
+//!    per-class recursive mining (§5.3), dispatched to the
+//!    representation picked by [`EclatConfig::representation`].
 //!
-//! [`run`] composes the phases under an [`ExecutionPolicy`]: [`Serial`]
-//! reproduces the sequential algorithm, [`Rayon`] the shared-memory one.
-//! The cluster and hybrid variants interleave the phases with the
-//! simulated communication/cost model, so they call the phase helpers
-//! directly instead of [`run`] — but their per-class mining is the same
-//! [`mine_classes`] used here, representation dispatch included.
+//! [`run`] composes the phases on a [`Threads`] pool: [`Serial`]
+//! reproduces the sequential algorithm, `Threads::new(0)` the
+//! shared-memory one on every core. The cluster and hybrid variants
+//! interleave the phases with the simulated communication/cost model, so
+//! they call the phase helpers directly instead of [`run`] — but their
+//! per-class mining is the same [`mine_classes`] used here,
+//! representation dispatch included.
 
 use crate::compute::{compute_frequent_stats, EclatConfig, Representation};
 use crate::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
+pub use crate::executor::{Serial, Threads};
+use crate::schedule::class_weights;
 use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
 use dbstore::HorizontalDb;
 use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
 use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter, TriangleMatrix};
-use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::Mutex;
 use std::time::Instant;
 use tidlist::{AdaptiveSet, BitmapSet, ChunkedList, GallopList};
 
@@ -42,215 +46,35 @@ pub const PHASE_ASYNC: &str = "async";
 /// Trace/stats label of the final result reduction (cluster variants).
 pub const PHASE_REDUCE: &str = "reduce";
 
-/// How the phases map onto compute resources. The policy owns the two
-/// parallelizable steps; everything else is inherently ordered (the
-/// vertical transform must preserve tid order).
-pub trait ExecutionPolicy {
-    /// Phase 1: triangular counts of all 2-itemsets over the whole
-    /// database. All counting work must be merged into `meter`.
-    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix;
-
-    /// Phase 3: mine every `L2` class (members are recorded too), merging
-    /// all per-task metering into `meter`, all results into `out`, and
-    /// appending one [`ClassStats`] per class to `stats` in class order
-    /// (the vendored rayon's collect preserves input order, so parallel
-    /// stats line up with serial ones).
-    fn mine_classes(
-        &self,
-        classes: Vec<EquivalenceClass>,
-        threshold: u32,
-        cfg: &EclatConfig,
-        meter: &mut OpMeter,
-        out: &mut FrequentSet,
-        stats: &mut Vec<ClassStats>,
-    );
+/// Split `range` into one contiguous block per thread, or keep it whole
+/// when it is too short to be worth splitting.
+fn tid_blocks(range: Range<usize>, threads: &Threads) -> Vec<Range<usize>> {
+    let n = range.len();
+    let p = threads.get();
+    if p == 1 || n < 2 * p {
+        return vec![range];
+    }
+    let chunk = n.div_ceil(p);
+    (range.start..range.end)
+        .step_by(chunk)
+        .map(|s| s..(s + chunk).min(range.end))
+        .collect()
 }
 
-/// Single-threaded execution — the paper's algorithm on one processor.
-pub struct Serial;
-
-impl ExecutionPolicy for Serial {
-    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix {
-        count_pairs(db, 0..db.num_transactions(), meter)
-    }
-
-    fn mine_classes(
-        &self,
-        classes: Vec<EquivalenceClass>,
-        threshold: u32,
-        cfg: &EclatConfig,
-        meter: &mut OpMeter,
-        out: &mut FrequentSet,
-        stats: &mut Vec<ClassStats>,
-    ) {
-        for (i, class) in classes.into_iter().enumerate() {
-            let _span = eclat_obs::trace::span_arg("class", i as u64);
-            stats.push(mine_class(class, threshold, cfg, meter, out));
-        }
-    }
-}
-
-/// Shared-memory execution on rayon: blocked counting in phase 1, one
-/// task per equivalence class in phase 3 (classes are independent, §4.1).
-/// Per-task meters are merged into the caller's meter, so parallel runs
-/// report the same operation counts as serial ones.
-pub struct Rayon;
-
-impl ExecutionPolicy for Rayon {
-    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix {
-        let n = db.num_transactions();
-        let block = (n / rayon::current_num_threads().max(1))
-            .max(1024)
-            .min(n.max(1));
-        let blocks: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(block)
-            .map(|s| s..(s + block).min(n))
-            .collect();
-        let counted = blocks
-            .par_iter()
-            .map(|r| {
-                let mut m = OpMeter::new();
-                let tri = count_pairs(db, r.clone(), &mut m);
-                (tri, m)
-            })
-            .reduce_with(|(mut tri_a, mut m_a), (tri_b, m_b)| {
-                tri_a.merge_from(&tri_b);
-                m_a.merge(&m_b);
-                (tri_a, m_a)
-            });
-        match counted {
-            Some((tri, m)) => {
-                meter.merge(&m);
-                tri
-            }
-            None => count_pairs(db, 0..0, meter), // empty database
-        }
-    }
-
-    fn mine_classes(
-        &self,
-        classes: Vec<EquivalenceClass>,
-        threshold: u32,
-        cfg: &EclatConfig,
-        meter: &mut OpMeter,
-        out: &mut FrequentSet,
-        stats: &mut Vec<ClassStats>,
-    ) {
-        let indexed: Vec<(usize, EquivalenceClass)> = classes.into_iter().enumerate().collect();
-        let partials: Vec<(FrequentSet, OpMeter, ClassStats)> = indexed
-            .into_par_iter()
-            .map(|(i, class)| {
-                let _span = eclat_obs::trace::span_arg("class", i as u64);
-                let mut local = FrequentSet::new();
-                let mut m = OpMeter::new();
-                let cs = mine_class(class, threshold, cfg, &mut m, &mut local);
-                (local, m, cs)
-            })
-            .collect();
-        for (p, m, cs) in partials {
-            out.merge(p);
-            meter.merge(&m);
-            stats.push(cs);
-        }
-    }
-}
-
-/// Shared-memory execution on exactly `P` scoped OS threads — the shape
-/// a cluster *host* takes in the paper's hybrid model (§8.1): the host
-/// owns a set of scheduled classes and its local processors share them.
-/// Unlike [`Rayon`] (which sizes its pool from the machine), the thread
-/// count is explicit, so a distributed worker can be told to act as a
-/// P-processor host. Classes are split over the threads by the same LPT
-/// cost model the cross-host schedule uses
-/// ([`crate::schedule::shard_classes`]); per-thread meters are merged, so
-/// operation counts match serial runs exactly.
-pub struct FixedThreads {
-    threads: usize,
-}
-
-impl FixedThreads {
-    /// A policy running on `threads` OS threads (`0` and `1` both mean
-    /// single-threaded).
-    pub fn new(threads: usize) -> FixedThreads {
-        FixedThreads {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl ExecutionPolicy for FixedThreads {
-    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix {
-        count_pairs_blocked(db, self.threads, meter)
-    }
-
-    fn mine_classes(
-        &self,
-        classes: Vec<EquivalenceClass>,
-        threshold: u32,
-        cfg: &EclatConfig,
-        meter: &mut OpMeter,
-        out: &mut FrequentSet,
-        stats: &mut Vec<ClassStats>,
-    ) {
-        let shards = crate::schedule::shard_classes(&classes, self.threads, cfg.heuristic);
-        let slots: Vec<std::sync::Mutex<Option<EquivalenceClass>>> = classes
-            .into_iter()
-            .map(|c| std::sync::Mutex::new(Some(c)))
-            .collect();
-        let fetch = |i: usize| {
-            Ok(slots[i]
-                .lock()
-                .expect("class slot poisoned")
-                .take()
-                .expect("each class is fetched exactly once"))
-        };
-        let reports = mine_shards(&shards, &fetch, threshold, cfg, out, stats)
-            .expect("in-memory fetch cannot fail");
-        for r in &reports {
-            meter.merge(&r.ops);
-        }
-    }
-}
-
-/// Phase 1 on `threads` scoped OS threads: split the transaction range
-/// into contiguous blocks, count each block on its own thread, and merge
-/// the partial triangles (sum of partial counts — the same reduction the
-/// cluster variants perform across processors). Per-block meters are
-/// merged into `meter`, so counts equal the serial pass.
+/// Phase 1 on a [`Threads`] pool: count one contiguous transaction block
+/// per thread and sum-merge the partial triangles (the same reduction
+/// the cluster variants perform across processors). Per-block meters
+/// merge into `meter`, so counts equal the serial pass.
 pub fn count_pairs_blocked(
     db: &HorizontalDb,
-    threads: usize,
+    threads: &Threads,
     meter: &mut OpMeter,
 ) -> TriangleMatrix {
-    let n = db.num_transactions();
-    let threads = threads.max(1);
-    if threads == 1 || n < 2 * threads {
-        return count_pairs(db, 0..n, meter);
-    }
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|s| s..(s + chunk).min(n))
-        .collect();
-    let partials: Vec<(TriangleMatrix, OpMeter)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                scope.spawn(move || {
-                    let mut m = OpMeter::new();
-                    (count_pairs(db, r, &mut m), m)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("counting thread panicked"))
-            .collect()
+    let blocks = tid_blocks(0..db.num_transactions(), threads);
+    let weights: Vec<u64> = blocks.iter().map(|r| r.len() as u64).collect();
+    let partials = threads.map(blocks, &weights, |_, _, r| {
+        let mut m = OpMeter::new();
+        (count_pairs(db, r, &mut m), m)
     });
     let mut iter = partials.into_iter();
     let (mut tri, m) = iter.next().expect("at least one block");
@@ -262,42 +86,23 @@ pub fn count_pairs_blocked(
     tri
 }
 
-/// Phase 2's tid-list construction on `threads` scoped OS threads: each
-/// thread scans a contiguous sub-range of `range` (ascending tids), then
-/// the per-slot partial lists are stitched in sub-range order — the
+/// Phase 2's tid-list construction on a [`Threads`] pool: each thread
+/// scans a contiguous sub-range of `range` (ascending tids), then the
+/// per-slot partial lists are stitched in sub-range order — the
 /// intra-host variant of the §6.3 offset placement, so every list comes
 /// out identical to a serial scan. Meters merge to the serial counts.
 pub fn build_pair_tidlists_blocked(
     db: &HorizontalDb,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     idx: &mining_types::FxHashMap<(ItemId, ItemId), usize>,
-    threads: usize,
+    threads: &Threads,
     meter: &mut OpMeter,
 ) -> Vec<tidlist::TidList> {
-    let n = range.len();
-    let threads = threads.max(1);
-    if threads == 1 || n < 2 * threads {
-        return build_pair_tidlists(db, range, idx, meter);
-    }
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|s| range.start + s..range.start + (s + chunk).min(n))
-        .collect();
-    let partials: Vec<(Vec<tidlist::TidList>, OpMeter)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                scope.spawn(move || {
-                    let mut m = OpMeter::new();
-                    (build_pair_tidlists(db, r, idx, &mut m), m)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("transform thread panicked"))
-            .collect()
+    let blocks = tid_blocks(range, threads);
+    let weights: Vec<u64> = blocks.iter().map(|r| r.len() as u64).collect();
+    let partials = threads.map(blocks, &weights, |_, _, r| {
+        let mut m = OpMeter::new();
+        (build_pair_tidlists(db, r, idx, &mut m), m)
     });
     let mut iter = partials.into_iter();
     let (mut lists, m) = iter.next().expect("at least one block");
@@ -309,89 +114,6 @@ pub fn build_pair_tidlists_blocked(
         }
     }
     lists
-}
-
-/// What one thread of [`mine_shards`] did: wall-clock spent mining,
-/// wall-clock spent fetching classes (disk faults in an out-of-core run,
-/// ~0 in-memory), and the merged operation counts of its shard.
-#[derive(Clone, Debug, Default)]
-pub struct ThreadReport {
-    /// Seconds this thread spent inside the mining kernel.
-    pub compute_secs: f64,
-    /// Seconds this thread spent fetching classes (out-of-core faults).
-    pub fetch_secs: f64,
-    /// Merged kernel operation counts for the shard.
-    pub ops: OpMeter,
-}
-
-/// Phase 3 across explicit per-thread shards with a pluggable class
-/// source — the execution core shared by [`FixedThreads`] (in-memory)
-/// and the distributed worker's out-of-core path (classes faulted back
-/// from a spill store).
-///
-/// `shards[t]` holds the class indices thread `t` mines; `fetch(i)`
-/// materialises class `i` (the wall-clock it takes — lock wait plus any
-/// disk fault — is accounted to that thread's `fetch_secs`). Results
-/// merge into `out`; per-class stats land in `stats` in ascending
-/// class-index order (= class order, matching the serial pipeline); the
-/// returned reports are indexed by thread.
-///
-/// # Errors
-/// The first `fetch` error aborts that thread's shard and is returned.
-pub fn mine_shards<F>(
-    shards: &[Vec<usize>],
-    fetch: &F,
-    threshold: u32,
-    cfg: &EclatConfig,
-    out: &mut FrequentSet,
-    stats: &mut Vec<ClassStats>,
-) -> Result<Vec<ThreadReport>, String>
-where
-    F: Fn(usize) -> Result<EquivalenceClass, String> + Sync,
-{
-    type ShardOut = Result<(FrequentSet, Vec<(usize, ClassStats)>, ThreadReport), String>;
-    let results: Vec<ShardOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(t, ids)| {
-                scope.spawn(move || -> ShardOut {
-                    let _shard_span = eclat_obs::trace::span_arg("mine:shard", t as u64);
-                    let mut local = FrequentSet::new();
-                    let mut tagged = Vec::with_capacity(ids.len());
-                    let mut rep = ThreadReport::default();
-                    for &i in ids {
-                        let t_fetch = Instant::now();
-                        let class = fetch(i)?;
-                        rep.fetch_secs += t_fetch.elapsed().as_secs_f64();
-                        let _class_span = eclat_obs::trace::span_arg("class", i as u64);
-                        let t_mine = Instant::now();
-                        tagged.push((
-                            i,
-                            mine_class(class, threshold, cfg, &mut rep.ops, &mut local),
-                        ));
-                        rep.compute_secs += t_mine.elapsed().as_secs_f64();
-                    }
-                    Ok((local, tagged, rep))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mining thread panicked"))
-            .collect()
-    });
-    let mut reports = Vec::with_capacity(shards.len());
-    let mut all_tagged: Vec<(usize, ClassStats)> = Vec::new();
-    for r in results {
-        let (local, tagged, rep) = r?;
-        out.merge(local);
-        all_tagged.extend(tagged);
-        reports.push(rep);
-    }
-    all_tagged.sort_by_key(|&(i, _)| i);
-    stats.extend(all_tagged.into_iter().map(|(_, cs)| cs));
-    Ok(reports)
 }
 
 /// Extract the frequent pair list from phase 1's triangular counts.
@@ -461,19 +183,32 @@ pub fn mine_class(
     stats
 }
 
-/// Phase 3 for a batch of classes into a fresh result set — the shape the
-/// cluster/hybrid per-processor loops want. Returns the results plus one
+/// Phase 3 for a batch of classes on a [`Threads`] pool, heaviest
+/// class first (weights from [`EclatConfig::heuristic`]). Each executor
+/// thread mines into its own result set and meter; both merge at the
+/// end, so the meter equals a serial run's. Returns the results plus one
 /// [`ClassStats`] per class, in class order.
 pub fn mine_classes(
     classes: Vec<EquivalenceClass>,
     threshold: u32,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
+    threads: &Threads,
 ) -> (FrequentSet, Vec<ClassStats>) {
+    let weights = class_weights(&classes, cfg.heuristic);
+    let locals: Vec<Mutex<(FrequentSet, OpMeter)>> =
+        (0..threads.get()).map(|_| Mutex::default()).collect();
+    let stats = threads.map(classes, &weights, |t, i, class| {
+        let _span = eclat_obs::trace::span_arg("class", i as u64);
+        let mut local = locals[t].lock().expect("per-thread results poisoned");
+        let (out, m) = &mut *local;
+        mine_class(class, threshold, cfg, m, out)
+    });
     let mut out = FrequentSet::new();
-    let mut stats = Vec::with_capacity(classes.len());
-    for class in classes {
-        stats.push(mine_class(class, threshold, cfg, meter, &mut out));
+    for local in locals {
+        let (found, m) = local.into_inner().expect("per-thread results poisoned");
+        out.merge(found);
+        meter.merge(&m);
     }
     (out, stats)
 }
@@ -615,21 +350,21 @@ pub(crate) fn class_is_dense(class: &EquivalenceClass, permille: u32) -> bool {
     sum * 1000 >= u64::from(permille) * class.members.len() as u64 * span
 }
 
-/// The full three-phase pipeline under a policy. This is the whole
-/// sequential/parallel algorithm; the cluster variants compose the phase
-/// helpers themselves around the communication model.
+/// The full three-phase pipeline on a [`Threads`] pool. This is the
+/// whole sequential/parallel algorithm; the cluster variants compose the
+/// phase helpers themselves around the communication model.
 pub fn run(
     db: &HorizontalDb,
     minsup: MinSupport,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
-    policy: &impl ExecutionPolicy,
+    threads: &Threads,
 ) -> FrequentSet {
     let threshold = minsup.count_threshold(db.num_transactions());
     let mut out = FrequentSet::new();
 
     // --- Phase 1 (initialization, §5.1): triangular counts of all pairs.
-    let tri = policy.count_pairs(db, meter);
+    let tri = count_pairs_blocked(db, threads, meter);
     let l2 = frequent_l2(&tri, threshold);
 
     if cfg.include_singletons {
@@ -643,8 +378,9 @@ pub fn run(
     let classes = vertical_classes(db, &l2, meter);
 
     // --- Phase 3 (asynchronous, §5.3): per-class recursive mining.
-    policy.mine_classes(classes, threshold, cfg, meter, &mut out, &mut Vec::new());
-    out
+    let (mut found, _) = mine_classes(classes, threshold, cfg, meter, threads);
+    found.merge(out);
+    found
 }
 
 /// [`run`] that also produces the structured [`MiningStats`] report:
@@ -657,7 +393,7 @@ pub fn run_stats(
     minsup: MinSupport,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
-    policy: &impl ExecutionPolicy,
+    threads: &Threads,
     variant: &str,
 ) -> (FrequentSet, MiningStats) {
     let threshold = minsup.count_threshold(db.num_transactions());
@@ -670,7 +406,7 @@ pub fn run_stats(
     // --- Phase 1 (initialization, §5.1).
     let span_init = eclat_obs::trace::span(PHASE_INIT);
     let t_init = Instant::now();
-    let tri = policy.count_pairs(db, meter);
+    let tri = count_pairs_blocked(db, threads, meter);
     let l2 = frequent_l2(&tri, threshold);
     stats.record_level(2, tri.cells() as u64, l2.len() as u64);
     if cfg.include_singletons {
@@ -705,8 +441,8 @@ pub fn run_stats(
     let span_async = eclat_obs::trace::span(PHASE_ASYNC);
     let t_async = Instant::now();
     let ops_before_async = *meter;
-    let mut class_stats = Vec::new();
-    policy.mine_classes(classes, threshold, cfg, meter, &mut out, &mut class_stats);
+    let (found, class_stats) = mine_classes(classes, threshold, cfg, meter, threads);
+    out.merge(found);
     stats.phases.push(PhaseStats {
         label: PHASE_ASYNC.to_string(),
         secs: t_async.elapsed().as_secs_f64(),
@@ -727,96 +463,94 @@ mod tests {
     use super::*;
     use apriori::reference::random_db;
 
-    #[test]
-    fn serial_and_rayon_policies_agree() {
-        let db = random_db(17, 150, 12, 6);
-        let minsup = MinSupport::from_percent(6.0);
-        let cfg = EclatConfig::default();
-        let mut m_serial = OpMeter::new();
-        let mut m_rayon = OpMeter::new();
-        let a = run(&db, minsup, &cfg, &mut m_serial, &Serial);
-        let b = run(&db, minsup, &cfg, &mut m_rayon, &Rayon);
-        assert_eq!(a, b);
-        // Same work, different schedule: the merged parallel meter must
-        // report the same candidate count as the serial one.
-        assert_eq!(m_serial.cand_gen, m_rayon.cand_gen);
-        assert_eq!(m_serial.record, m_rayon.record);
-    }
+    const PS: [usize; 4] = [1, 2, 3, 8];
 
-    #[test]
-    fn fixed_threads_policy_matches_serial_for_any_p() {
-        let db = random_db(17, 150, 12, 6);
-        let minsup = MinSupport::from_percent(6.0);
-        let cfg = EclatConfig::default();
-        let mut m_serial = OpMeter::new();
-        let expect = run(&db, minsup, &cfg, &mut m_serial, &Serial);
-        for p in [1, 2, 3, 8] {
-            let mut m = OpMeter::new();
-            let fs = run(&db, minsup, &cfg, &mut m, &FixedThreads::new(p));
-            assert_eq!(fs, expect, "P={p}");
-            // Merged per-thread meters must equal the serial counts.
-            assert_eq!(m, m_serial, "P={p}");
+    /// `(db, minsup %, cfg)` inputs for the P sweeps: random databases at
+    /// several supports, the singleton config and an empty database.
+    fn sweep_inputs() -> Vec<(HorizontalDb, f64, EclatConfig)> {
+        let mut inputs = vec![
+            (random_db(17, 150, 12, 6), 6.0, EclatConfig::default()),
+            (random_db(4, 250, 12, 6), 5.0, EclatConfig::default()),
+            (
+                random_db(2, 120, 10, 5),
+                8.0,
+                EclatConfig::with_singletons(),
+            ),
+            (HorizontalDb::of(&[]), 1.0, EclatConfig::default()),
+        ];
+        for seed in [1u64, 5, 9] {
+            for pct in [4.0, 10.0] {
+                inputs.push((random_db(seed, 200, 14, 6), pct, EclatConfig::default()));
+            }
         }
-        assert_eq!(FixedThreads::new(0).threads(), 1, "0 means single-threaded");
+        inputs
     }
 
     #[test]
-    fn fixed_threads_stats_match_serial() {
+    fn threads_match_serial_for_any_p() {
+        for (n, (db, pct, cfg)) in sweep_inputs().into_iter().enumerate() {
+            let minsup = MinSupport::from_percent(pct);
+            let mut m_serial = OpMeter::new();
+            let expect = run(&db, minsup, &cfg, &mut m_serial, &Serial);
+            if db.num_transactions() > 0 {
+                assert!(m_serial.record > 0, "counting scans must be metered");
+                assert!(m_serial.pair_incr > 0, "triangular pass must be metered");
+            }
+            for p in PS {
+                let mut m = OpMeter::new();
+                let fs = run(&db, minsup, &cfg, &mut m, &Threads::new(p));
+                assert_eq!(fs, expect, "input {n} P={p}");
+                // Merged per-thread meters must equal the serial counts.
+                assert_eq!(m, m_serial, "input {n} P={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_stats_match_serial_for_any_p() {
         let db = random_db(29, 200, 12, 6);
         let minsup = MinSupport::from_percent(5.0);
         let cfg = EclatConfig::default();
         let (fs_s, seq) = run_stats(&db, minsup, &cfg, &mut OpMeter::new(), &Serial, "x");
-        let (fs_p, par) = run_stats(
-            &db,
-            minsup,
-            &cfg,
-            &mut OpMeter::new(),
-            &FixedThreads::new(3),
-            "x",
-        );
-        assert_eq!(fs_s, fs_p);
-        assert_eq!(seq.total_ops, par.total_ops);
-        assert_eq!(seq.levels, par.levels);
-        // Class stats come back in class order despite the LPT sharding.
-        assert_eq!(seq.classes, par.classes);
-        for (a, b) in seq.phases.iter().zip(&par.phases) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.ops, b.ops);
+        for p in PS {
+            let threads = Threads::new(p);
+            let (fs_p, par) = run_stats(&db, minsup, &cfg, &mut OpMeter::new(), &threads, "x");
+            assert_eq!(fs_s, fs_p, "P={p}");
+            // Everything except wall-clock seconds is schedule-independent;
+            // class stats come back in class order despite the pulling.
+            assert_eq!(seq.total_ops, par.total_ops, "P={p}");
+            assert_eq!(seq.levels, par.levels, "P={p}");
+            assert_eq!(seq.classes, par.classes, "P={p}");
+            assert_eq!(seq.kernel_totals(), par.kernel_totals(), "P={p}");
+            for (a, b) in seq.phases.iter().zip(&par.phases) {
+                assert_eq!(a.label, b.label);
+                assert_eq!(a.ops, b.ops, "P={p} {}", a.label);
+            }
         }
     }
 
     #[test]
-    fn blocked_transform_matches_serial_scan() {
+    fn blocked_phases_match_serial_scans() {
         let db = random_db(41, 300, 12, 6);
-        let tri = count_pairs(&db, 0..db.num_transactions(), &mut OpMeter::new());
+        let mut m_tri = OpMeter::new();
+        let tri = count_pairs(&db, 0..db.num_transactions(), &mut m_tri);
         let l2 = frequent_l2(&tri, 5);
         assert!(!l2.is_empty());
         let idx = index_pairs(&l2);
         let mut m_serial = OpMeter::new();
         let serial = build_pair_tidlists(&db, 0..db.num_transactions(), &idx, &mut m_serial);
-        for threads in [1, 2, 5] {
+        for p in PS {
+            let threads = Threads::new(p);
+            let mut m = OpMeter::new();
+            let blocked_tri = count_pairs_blocked(&db, &threads, &mut m);
+            assert_eq!(blocked_tri.raw(), tri.raw(), "P={p}");
+            assert_eq!(m, m_tri, "P={p}");
             let mut m = OpMeter::new();
             let blocked =
-                build_pair_tidlists_blocked(&db, 0..db.num_transactions(), &idx, threads, &mut m);
-            assert_eq!(blocked, serial, "threads={threads}");
-            assert_eq!(m, m_serial, "threads={threads}");
+                build_pair_tidlists_blocked(&db, 0..db.num_transactions(), &idx, &threads, &mut m);
+            assert_eq!(blocked, serial, "P={p}");
+            assert_eq!(m, m_serial, "P={p}");
         }
-    }
-
-    #[test]
-    fn mine_shards_propagates_fetch_errors() {
-        let cfg = EclatConfig::default();
-        let fetch = |_i: usize| Err("spill store gone".to_string());
-        let err = mine_shards(
-            &[vec![0usize]],
-            &fetch,
-            1,
-            &cfg,
-            &mut FrequentSet::new(),
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(err.contains("spill store gone"));
     }
 
     #[test]
@@ -903,25 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_parallel_equals_sequential() {
-        let db = random_db(29, 200, 12, 6);
-        let minsup = MinSupport::from_percent(5.0);
-        let cfg = EclatConfig::default();
-        let (fs_s, seq) = run_stats(&db, minsup, &cfg, &mut OpMeter::new(), &Serial, "x");
-        let (fs_p, par) = run_stats(&db, minsup, &cfg, &mut OpMeter::new(), &Rayon, "x");
-        assert_eq!(fs_s, fs_p);
-        // Everything except wall-clock seconds is schedule-independent.
-        assert_eq!(seq.total_ops, par.total_ops);
-        assert_eq!(seq.levels, par.levels);
-        assert_eq!(seq.classes, par.classes);
-        assert_eq!(seq.kernel_totals(), par.kernel_totals());
-        for (a, b) in seq.phases.iter().zip(&par.phases) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.ops, b.ops);
-        }
-    }
-
-    #[test]
     fn run_stats_empty_l2_still_reports() {
         let db = dbstore::HorizontalDb::of(&[&[0, 1], &[2, 3], &[4, 5]]);
         let (fs, stats) = run_stats(
@@ -939,27 +654,5 @@ mod tests {
         assert!(stats.levels.iter().any(|l| l.size == 1));
         let l2 = stats.levels.iter().find(|l| l.size == 2).unwrap();
         assert_eq!(l2.frequent, 0);
-    }
-
-    #[test]
-    fn empty_database_under_both_policies() {
-        let db = dbstore::HorizontalDb::of(&[]);
-        let cfg = EclatConfig::default();
-        for policy in [&Serial as &dyn ExecutionPolicy, &Rayon] {
-            let mut out = FrequentSet::new();
-            let mut meter = OpMeter::new();
-            let tri = policy.count_pairs(&db, &mut meter);
-            assert!(frequent_l2(&tri, 1).is_empty());
-            policy.mine_classes(vec![], 1, &cfg, &mut meter, &mut out, &mut Vec::new());
-            assert!(out.is_empty());
-        }
-        assert!(run(
-            &db,
-            MinSupport::from_percent(1.0),
-            &cfg,
-            &mut OpMeter::new(),
-            &Rayon
-        )
-        .is_empty());
     }
 }

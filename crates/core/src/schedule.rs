@@ -64,14 +64,19 @@ pub fn schedule(
     num_procs: usize,
     heuristic: ScheduleHeuristic,
 ) -> Assignment {
-    let weights: Vec<u64> = classes
+    schedule_weights(&class_weights(classes, heuristic), num_procs, heuristic)
+}
+
+/// Per-class load estimates under `heuristic`: `C(s,2)`, or the sum of
+/// member supports for [`ScheduleHeuristic::SupportWeighted`].
+pub fn class_weights(classes: &[EquivalenceClass], heuristic: ScheduleHeuristic) -> Vec<u64> {
+    classes
         .iter()
         .map(|c| match heuristic {
             ScheduleHeuristic::GreedyPairs | ScheduleHeuristic::RoundRobin => c.weight(),
             ScheduleHeuristic::SupportWeighted => c.support_weight(),
         })
-        .collect();
-    schedule_weights(&weights, num_procs, heuristic)
+        .collect()
 }
 
 /// Shard `classes` across the `num_procs` co-located processors of one

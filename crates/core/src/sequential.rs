@@ -22,7 +22,7 @@ pub fn mine(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
 }
 
 /// Mine with explicit configuration and metering: the three-phase
-/// [`pipeline`] under the single-processor [`Serial`] policy.
+/// [`pipeline`] on the one-thread [`Serial`] pool.
 pub fn mine_with(
     db: &HorizontalDb,
     minsup: MinSupport,

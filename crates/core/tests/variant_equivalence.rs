@@ -1,5 +1,5 @@
 //! Cross-variant equivalence on Quest-structured data: every Eclat
-//! flavor — prefix classes, clique clusters, diffsets, rayon, plus
+//! flavor — prefix classes, clique clusters, diffsets, thread-parallel, plus
 //! MaxEclat's frontier — must agree, under every config combination.
 
 use dbstore::HorizontalDb;
@@ -25,8 +25,8 @@ proptest! {
         let clique = eclat::clique::mine_with(&db, minsup, &EclatConfig::default(), &mut meter);
         prop_assert_eq!(&clique, &reference, "clique clustering");
 
-        let par = eclat::parallel::mine(&db, minsup);
-        prop_assert_eq!(&par, &reference, "rayon");
+        let par = eclat::pipeline::run(&db, minsup, &eclat::EclatConfig::default(), &mut mining_types::OpMeter::new(), &eclat::Threads::new(0));
+        prop_assert_eq!(&par, &reference, "parallel");
 
         // maximal frontier consistency
         let max = eclat::maximal::mine_maximal(&db, minsup);

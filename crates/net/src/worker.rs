@@ -22,9 +22,10 @@ use crate::proto::{Message, WorkerStats, MAX_NET_FRAME, PROTOCOL_VERSION};
 use crate::NetError;
 use dbstore::{binfmt, SpillMetrics, SpillStore};
 use eclat::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
-use eclat::pipeline;
-use eclat::schedule::shard_classes;
+use eclat::pipeline::{self, Threads};
+use eclat::schedule::class_weights;
 use eclat::transform::{count_items, index_pairs};
+use mining_types::stats::ClassStats;
 use mining_types::{FrequentSet, ItemId, Itemset, OpMeter};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -493,6 +494,82 @@ fn handle_connection(mut stream: TcpStream, registry: &Registry, cfg: &WorkerCon
     }
 }
 
+/// Move `classes` into a budgeted [`SpillStore`] under `dir`; tid-lists
+/// beyond the budget go to disk, the per-class metadata stays resident.
+fn spill_classes(
+    dir: PathBuf,
+    classes: Vec<EquivalenceClass>,
+    budget: u64,
+) -> io::Result<ClassSource> {
+    let mut store = SpillStore::create(&dir, budget, classes.len())?;
+    let mut skeletons = Vec::with_capacity(classes.len());
+    for (i, class) in classes.into_iter().enumerate() {
+        let mut itemsets = Vec::with_capacity(class.members.len());
+        let mut lists: Vec<TidList> = Vec::with_capacity(class.members.len());
+        for m in class.members {
+            itemsets.push(m.itemset);
+            lists.push(m.tids);
+        }
+        skeletons.push(Mutex::new(Some((class.prefix, itemsets))));
+        store.insert(i, lists)?;
+    }
+    Ok(ClassSource::Spilled {
+        vault: Mutex::new(store),
+        skeletons,
+    })
+}
+
+/// What one executor thread of the asynchronous phase accumulated.
+#[derive(Default)]
+struct ThreadTally {
+    frequent: FrequentSet,
+    ops: OpMeter,
+    /// Seconds inside the mining kernel.
+    compute_secs: f64,
+    /// Seconds fetching classes (lock wait plus any disk fault).
+    fetch_secs: f64,
+}
+
+/// The asynchronous phase (§5.3) on one host: mine every class of
+/// `source` on `threads`, heaviest first, each executor thread into its
+/// own result set. Returns the per-thread tallies (indexed by thread)
+/// and one [`ClassStats`] per class, in class order.
+///
+/// # Errors
+/// [`NetError::Worker`] for the first failed class fetch in class order
+/// (a spill fault).
+fn mine_owned(
+    source: &ClassSource,
+    weights: &[u64],
+    threads: &Threads,
+    threshold: u32,
+    cfg: &eclat::EclatConfig,
+    rank: u32,
+) -> Result<(Vec<ThreadTally>, Vec<ClassStats>), NetError> {
+    let tallies: Vec<Mutex<ThreadTally>> = (0..threads.get()).map(|_| Mutex::default()).collect();
+    let mined = threads.map((0..weights.len()).collect(), weights, |t, _, i: usize| {
+        let mut tally = tallies[t].lock().expect("thread tally poisoned");
+        let t_fetch = Instant::now();
+        let class = source.fetch(i)?;
+        tally.fetch_secs += t_fetch.elapsed().as_secs_f64();
+        let _span = eclat_obs::trace::span_arg("class", i as u64);
+        let t_mine = Instant::now();
+        let tally = &mut *tally;
+        let cs = pipeline::mine_class(class, threshold, cfg, &mut tally.ops, &mut tally.frequent);
+        tally.compute_secs += t_mine.elapsed().as_secs_f64();
+        Ok(cs)
+    });
+    let classes = mined
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()
+        .map_err(|message| NetError::Worker { rank, message })?;
+    let tallies = tallies
+        .into_iter()
+        .map(|t| t.into_inner().expect("thread tally poisoned"))
+        .collect();
+    Ok((tallies, classes))
+}
+
 /// One coordinator-driven mining session.
 struct Session<'a> {
     stream: TcpStream,
@@ -506,19 +583,8 @@ struct Session<'a> {
 }
 
 impl Session<'_> {
-    /// Resolve the configured thread count (`0` = one per core).
-    fn mining_threads(&self) -> usize {
-        match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-
-    /// Move `classes` into a budgeted [`SpillStore`] under a unique
-    /// per-run directory; tid-lists beyond the budget go to disk, the
-    /// per-class metadata stays resident.
+    /// Spill `classes` under a unique per-run directory (see
+    /// [`spill_classes`]).
     fn spill_classes(
         &self,
         classes: Vec<EquivalenceClass>,
@@ -535,25 +601,9 @@ impl Session<'_> {
             self.run_id,
             self.rank
         ));
-        let spill_err = |e: io::Error| NetError::Worker {
+        spill_classes(dir, classes, budget).map_err(|e| NetError::Worker {
             rank: self.rank,
             message: format!("spill store failed: {e}"),
-        };
-        let mut store = SpillStore::create(&dir, budget, classes.len()).map_err(spill_err)?;
-        let mut skeletons = Vec::with_capacity(classes.len());
-        for (i, class) in classes.into_iter().enumerate() {
-            let mut itemsets = Vec::with_capacity(class.members.len());
-            let mut lists: Vec<TidList> = Vec::with_capacity(class.members.len());
-            for m in class.members {
-                itemsets.push(m.itemset);
-                lists.push(m.tids);
-            }
-            skeletons.push(Mutex::new(Some((class.prefix, itemsets))));
-            store.insert(i, lists).map_err(spill_err)?;
-        }
-        Ok(ClassSource::Spilled {
-            vault: Mutex::new(store),
-            skeletons,
         })
     }
 
@@ -620,10 +670,10 @@ impl Session<'_> {
         // over this host's P threads (partial triangles sum-merge, the
         // intra-host version of the coordinator's reduction).
         let span_init = eclat_obs::trace::span(crate::PHASE_INIT);
-        let threads = self.mining_threads();
+        let threads = Threads::new(self.cfg.threads);
         let t = Instant::now();
         let mut init_ops = OpMeter::new();
-        let tri = pipeline::count_pairs_blocked(&db, threads, &mut init_ops);
+        let tri = pipeline::count_pairs_blocked(&db, &threads, &mut init_ops);
         let items = if want_items {
             count_items(&db, 0..db.num_transactions(), &mut init_ops)
         } else {
@@ -676,7 +726,7 @@ impl Session<'_> {
             &db,
             0..db.num_transactions(),
             &idx,
-            threads,
+            &threads,
             &mut transform_ops,
         );
         let routed = route_partials(&lists, &slot_owner, self.num_workers, tid_offset);
@@ -714,11 +764,10 @@ impl Session<'_> {
         self.stats.compute_secs += t.elapsed().as_secs_f64();
         self.stats.transform_ops = transform_ops;
 
-        // LPT-shard the owned classes over this host's threads — the
-        // same C(s,2) cost model the coordinator used across workers,
-        // reapplied at thread granularity (the hybrid model's intra-host
-        // re-balance, on a real host).
-        let shards = shard_classes(&classes, threads, mine_cfg.heuristic);
+        // The same C(s,2) cost model the coordinator scheduled workers
+        // by orders the classes for this host's threads: each free
+        // thread pulls the heaviest class still waiting.
+        let weights = class_weights(&classes, mine_cfg.heuristic);
 
         // Under a memory budget, route every owned class through the
         // spill store now (the paper's transformation-phase disk write:
@@ -741,31 +790,22 @@ impl Session<'_> {
         // ---- Asynchronous phase (§5.3): mine owned classes on P
         // threads through the shared pipeline kernel, no comms.
         let span_async = eclat_obs::trace::span(crate::PHASE_ASYNC);
-        let mut frequent = FrequentSet::new();
-        let mut class_stats = Vec::new();
-        let fetch = |i: usize| source.fetch(i);
-        let reports = pipeline::mine_shards(
-            &shards,
-            &fetch,
-            threshold,
-            &mine_cfg,
-            &mut frequent,
-            &mut class_stats,
-        )
-        .map_err(|message| NetError::Worker {
-            rank: self.rank,
-            message,
-        })?;
+        let (tallies, class_stats) =
+            mine_owned(&source, &weights, &threads, threshold, &mine_cfg, self.rank)?;
         let spill = source.metrics();
+        let mut frequent = FrequentSet::new();
         let mut async_ops = OpMeter::new();
-        for r in &reports {
-            async_ops.merge(&r.ops);
+        self.stats.thread_compute_secs = Vec::with_capacity(tallies.len());
+        self.stats.thread_disk_secs = Vec::with_capacity(tallies.len());
+        for tally in tallies {
+            frequent.merge(tally.frequent);
+            async_ops.merge(&tally.ops);
+            self.stats.thread_compute_secs.push(tally.compute_secs);
+            self.stats.thread_disk_secs.push(tally.fetch_secs);
         }
-        self.stats.threads = threads as u32;
-        self.stats.thread_compute_secs = reports.iter().map(|r| r.compute_secs).collect();
+        self.stats.threads = threads.get() as u32;
         // Per-thread spill I/O: faults land on the faulting thread,
         // eviction writes (session-thread work during insert) on thread 0.
-        self.stats.thread_disk_secs = reports.iter().map(|r| r.fetch_secs).collect();
         self.stats.thread_disk_secs[0] += spill.write_secs;
         self.stats.spill_bytes_written = spill.bytes_written;
         self.stats.spill_bytes_read = spill.bytes_read;
@@ -848,5 +888,46 @@ impl Session<'_> {
         }
         self.stats.net_secs += t.elapsed().as_secs_f64();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eclat::EclatConfig;
+    use mining_types::MinSupport;
+
+    fn classes() -> (Vec<EquivalenceClass>, u32) {
+        let db = apriori::reference::random_db(3, 200, 12, 6);
+        let threshold = MinSupport::from_percent(5.0).count_threshold(db.num_transactions());
+        let mut meter = OpMeter::new();
+        let tri = eclat::transform::count_pairs(&db, 0..db.num_transactions(), &mut meter);
+        let l2 = pipeline::frequent_l2(&tri, threshold);
+        let classes = pipeline::vertical_classes(&db, &l2, &mut meter);
+        assert!(classes.len() > 3, "the fixture needs several classes");
+        (classes, threshold)
+    }
+
+    #[test]
+    fn spill_fault_surfaces_as_a_worker_error() {
+        let (classes, threshold) = classes();
+        let cfg = EclatConfig::default();
+        let weights = class_weights(&classes, cfg.heuristic);
+        for p in [1, 2, 3, 8] {
+            let dir =
+                std::env::temp_dir().join(format!("eclat-spill-fault-{}-p{p}", std::process::id()));
+            // Budget 0 spills every class; deleting the store under it
+            // makes every fault-in fail.
+            let source = spill_classes(dir.clone(), classes.clone(), 0).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            match mine_owned(&source, &weights, &Threads::new(p), threshold, &cfg, 7) {
+                Err(NetError::Worker { rank, message }) => {
+                    assert_eq!(rank, 7);
+                    assert!(message.contains("spill fault"), "P={p}: {message}");
+                }
+                Err(other) => panic!("P={p}: wrong error {other}"),
+                Ok(_) => panic!("P={p}: a lost spill store must fail the phase"),
+            }
+        }
     }
 }

@@ -32,7 +32,6 @@
 
 use crate::pairset::PairSet;
 use crate::pattern::SeqPattern;
-use eclat::ScheduleHeuristic;
 use mining_types::stats::KernelStats;
 use mining_types::{ItemId, OpMeter};
 use std::collections::BTreeMap;
@@ -70,8 +69,6 @@ pub struct SeqConfig {
     pub maxlen: Option<u32>,
     /// Bail out of joins that provably cannot reach minsup (§5.3).
     pub short_circuit: bool,
-    /// Class-scheduling heuristic for the `FixedThreads` policy.
-    pub heuristic: ScheduleHeuristic,
 }
 
 impl Default for SeqConfig {
@@ -79,7 +76,6 @@ impl Default for SeqConfig {
         SeqConfig {
             maxlen: None,
             short_circuit: true,
-            heuristic: ScheduleHeuristic::GreedyPairs,
         }
     }
 }

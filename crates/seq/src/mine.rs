@@ -12,15 +12,15 @@
 //! 3. **Asynchronous phase** — one task per prefix class `⟨{x}⟩`: the
 //!    task joins the item lists into the class's 2-sequence members
 //!    (equality/temporal [`PairSet`] joins) and runs the recursive
-//!    kernel. Tasks are independent, so they run under any
-//!    [`TaskExecutor`] policy; results and meters merge in class order,
-//!    making Serial/Rayon/FixedThreads byte-identical.
+//!    kernel. Tasks are independent, so they run on any [`Threads`]
+//!    pool, heaviest class first; results and meters merge in class
+//!    order, making every thread count byte-identical.
 
 use crate::db::SeqDb;
 use crate::kernel::{class_weight, recurse, AtomKind, FrequentSequences, SeqConfig, SeqMember};
 use crate::pairset::PairSet;
 use crate::pattern::SeqPattern;
-use eclat::executor::TaskExecutor;
+use eclat::executor::Threads;
 use eclat::pipeline::{PHASE_ASYNC, PHASE_INIT, PHASE_TRANSFORM};
 use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
 use mining_types::{ItemId, MinSupport, OpMeter};
@@ -243,14 +243,14 @@ fn mine_class(
     (out, stats)
 }
 
-/// Mine `db` at `minsup` under `policy` with default settings.
-pub fn mine(db: &SeqDb, minsup: MinSupport, policy: &impl TaskExecutor) -> FrequentSequences {
+/// Mine `db` at `minsup` on `threads` with default settings.
+pub fn mine(db: &SeqDb, minsup: MinSupport, threads: &Threads) -> FrequentSequences {
     mine_with(
         db,
         minsup,
         &SeqConfig::default(),
         &mut OpMeter::new(),
-        policy,
+        threads,
     )
 }
 
@@ -260,9 +260,9 @@ pub fn mine_with(
     minsup: MinSupport,
     cfg: &SeqConfig,
     meter: &mut OpMeter,
-    policy: &impl TaskExecutor,
+    threads: &Threads,
 ) -> FrequentSequences {
-    mine_stats(db, minsup, cfg, meter, policy, "sequential").0
+    mine_stats(db, minsup, cfg, meter, threads, "sequential").0
 }
 
 /// [`mine_with`] that also produces the structured [`MiningStats`]
@@ -273,7 +273,7 @@ pub fn mine_stats(
     minsup: MinSupport,
     cfg: &SeqConfig,
     meter: &mut OpMeter,
-    policy: &impl TaskExecutor,
+    threads: &Threads,
     variant: &str,
 ) -> (FrequentSequences, MiningStats) {
     let threshold = minsup.count_threshold(db.num_sequences()).max(1);
@@ -331,7 +331,7 @@ pub fn mine_stats(
     let items_ref = &init.items;
     let lists_ref = &lists;
     let results: Vec<(FrequentSequences, OpMeter, ClassStats)> =
-        policy.run_tasks(init.classes, &weights, cfg.heuristic, |i, spec| {
+        threads.map(init.classes, &weights, |_, i, spec| {
             let _span = eclat_obs::trace::span_arg("class", i as u64);
             let mut m = OpMeter::new();
             let (local, cs) = mine_class(&spec, items_ref, lists_ref, threshold, cfg, &mut m);
@@ -361,7 +361,7 @@ pub fn mine_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eclat::pipeline::{FixedThreads, Rayon, Serial};
+    use eclat::pipeline::Serial;
 
     /// The module-doc example database: three customers.
     fn sample() -> SeqDb {
@@ -394,23 +394,20 @@ mod tests {
     }
 
     #[test]
-    fn policies_agree_with_serial() {
+    fn thread_counts_agree_with_serial() {
         let db = sample();
         let minsup = MinSupport::from_percent(50.0);
         let cfg = SeqConfig::default();
         let mut m_serial = OpMeter::new();
         let expect = mine_with(&db, minsup, &cfg, &mut m_serial, &Serial);
-        let mut m_rayon = OpMeter::new();
-        assert_eq!(mine_with(&db, minsup, &cfg, &mut m_rayon, &Rayon), expect);
-        assert_eq!(m_serial, m_rayon, "merged meters match serial");
-        for p in [1, 2, 3] {
+        for p in [1, 2, 3, 8] {
             let mut m = OpMeter::new();
             assert_eq!(
-                mine_with(&db, minsup, &cfg, &mut m, &FixedThreads::new(p)),
+                mine_with(&db, minsup, &cfg, &mut m, &Threads::new(p)),
                 expect,
                 "P={p}"
             );
-            assert_eq!(m, m_serial, "P={p}");
+            assert_eq!(m, m_serial, "P={p}: merged meters match serial");
         }
     }
 
@@ -469,26 +466,18 @@ mod tests {
     }
 
     #[test]
-    fn stats_identical_across_policies() {
+    fn stats_identical_across_thread_counts() {
         let db = sample();
         let minsup = MinSupport::from_percent(50.0);
         let cfg = SeqConfig::default();
         let (fs_s, seq) = mine_stats(&db, minsup, &cfg, &mut OpMeter::new(), &Serial, "x");
-        for (fs_p, par) in [
-            mine_stats(&db, minsup, &cfg, &mut OpMeter::new(), &Rayon, "x"),
-            mine_stats(
-                &db,
-                minsup,
-                &cfg,
-                &mut OpMeter::new(),
-                &FixedThreads::new(3),
-                "x",
-            ),
-        ] {
-            assert_eq!(fs_s, fs_p);
-            assert_eq!(seq.total_ops, par.total_ops);
-            assert_eq!(seq.levels, par.levels);
-            assert_eq!(seq.classes, par.classes);
+        for p in [1, 2, 3, 8] {
+            let threads = Threads::new(p);
+            let (fs_p, par) = mine_stats(&db, minsup, &cfg, &mut OpMeter::new(), &threads, "x");
+            assert_eq!(fs_s, fs_p, "P={p}");
+            assert_eq!(seq.total_ops, par.total_ops, "P={p}");
+            assert_eq!(seq.levels, par.levels, "P={p}");
+            assert_eq!(seq.classes, par.classes, "P={p}");
             for (a, b) in seq.phases.iter().zip(&par.phases) {
                 assert_eq!(a.label, b.label);
                 assert_eq!(a.ops, b.ops);
@@ -505,7 +494,7 @@ mod tests {
             MinSupport::from_percent(10.0),
             &SeqConfig::default(),
             &mut OpMeter::new(),
-            &Rayon,
+            &Threads::new(0),
             "parallel",
         );
         assert!(fs.is_empty());

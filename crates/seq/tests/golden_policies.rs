@@ -1,10 +1,10 @@
-//! Golden policy-equivalence tests on Quest-generated sequence data:
-//! the three execution policies must produce *byte-identical* results —
+//! Golden thread-count equivalence tests on Quest-generated sequence
+//! data: every executor size must produce *byte-identical* results —
 //! same patterns, same supports, same canonical rendering, same merged
 //! op counts — and the fixed-seed run is pinned so a silent change in
 //! either the generator or the kernel fails loudly.
 
-use eclat::pipeline::{FixedThreads, Rayon, Serial};
+use eclat::pipeline::{Serial, Threads};
 use eclat_seq::{mine_stats, FrequentSequences, SeqConfig, SeqDb};
 use mining_types::{MinSupport, OpMeter};
 use questgen::{SeqGenerator, SeqParams};
@@ -24,7 +24,7 @@ fn render(fs: &FrequentSequences) -> String {
 }
 
 #[test]
-fn all_policies_render_byte_identically() {
+fn all_thread_counts_render_byte_identically() {
     for seed in [1u64, 7] {
         let db = quest_db(120, seed);
         let minsup = MinSupport::from_percent(20.0);
@@ -35,23 +35,10 @@ fn all_policies_render_byte_identically() {
         let golden = render(&fs_serial);
         assert!(!golden.is_empty(), "seed {seed} mined nothing");
 
-        let mut m_rayon = OpMeter::new();
-        let (fs_rayon, stats_rayon) = mine_stats(&db, minsup, &cfg, &mut m_rayon, &Rayon, "rayon");
-        assert_eq!(render(&fs_rayon), golden, "seed {seed}: rayon bytes");
-        assert_eq!(m_rayon, m_serial, "seed {seed}: rayon meter");
-        assert_eq!(stats_rayon.total_ops, stats_serial.total_ops);
-        assert_eq!(stats_rayon.classes, stats_serial.classes);
-
-        for procs in [1usize, 2, 3, 7] {
+        for procs in [1usize, 2, 3, 8] {
             let mut m = OpMeter::new();
-            let (fs, stats) = mine_stats(
-                &db,
-                minsup,
-                &cfg,
-                &mut m,
-                &FixedThreads::new(procs),
-                "threads",
-            );
+            let (fs, stats) =
+                mine_stats(&db, minsup, &cfg, &mut m, &Threads::new(procs), "threads");
             assert_eq!(render(&fs), golden, "seed {seed}: threads P={procs} bytes");
             assert_eq!(m, m_serial, "seed {seed}: threads P={procs} meter");
             assert_eq!(stats.total_ops, stats_serial.total_ops);

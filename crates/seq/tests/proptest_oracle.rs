@@ -1,10 +1,10 @@
 //! SPADE ≡ reference on random databases: the vertical kernel is pinned
 //! against the GSP-style horizontal miner, which shares no code with it
 //! (no PairSet, no joins, no classes) — agreement is evidence, not
-//! tautology. The same random databases also pin policy equivalence and
+//! tautology. The same random databases also pin thread-count equivalence and
 //! support monotonicity.
 
-use eclat::pipeline::{FixedThreads, Rayon, Serial};
+use eclat::pipeline::{Serial, Threads};
 use eclat_seq::{mine, mine_with, reference, SeqConfig, SeqDb};
 use mining_types::{MinSupport, OpMeter};
 use proptest::prelude::*;
@@ -57,21 +57,20 @@ proptest! {
     }
 
     #[test]
-    fn policies_agree_on_random_databases(raw in raw_db(), pct in 5.0f64..60.0, procs in 1usize..5) {
+    fn thread_counts_agree_on_random_databases(raw in raw_db(), pct in 5.0f64..60.0, procs in 1usize..5) {
         let db = SeqDb::from_events(raw);
         let minsup = MinSupport::from_percent(pct);
         let cfg = SeqConfig::default();
         let mut m_serial = OpMeter::new();
         let expect = mine_with(&db, minsup, &cfg, &mut m_serial, &Serial);
-        let mut m_rayon = OpMeter::new();
-        prop_assert_eq!(&mine_with(&db, minsup, &cfg, &mut m_rayon, &Rayon), &expect);
-        prop_assert_eq!(m_rayon, m_serial);
-        let mut m_threads = OpMeter::new();
-        prop_assert_eq!(
-            &mine_with(&db, minsup, &cfg, &mut m_threads, &FixedThreads::new(procs)),
-            &expect
-        );
-        prop_assert_eq!(m_threads, m_serial);
+        for p in [procs, 8] {
+            let mut m_threads = OpMeter::new();
+            prop_assert_eq!(
+                &mine_with(&db, minsup, &cfg, &mut m_threads, &Threads::new(p)),
+                &expect
+            );
+            prop_assert_eq!(m_threads, m_serial);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use assoc_rules::Rule;
 use dbstore::binfmt::{ResultsSnapshot, RuleRecord};
 use dbstore::{HorizontalDb, VerticalDb};
 use eclat::equivalence::classes_of_l2;
-use eclat::pipeline::ExecutionPolicy;
+use eclat::pipeline::{self, Threads};
 use eclat::EclatConfig;
 use mining_types::{
     Counted, FrequentSet, ItemId, Itemset, MinSupport, OpMeter, Tid, TriangleMatrix,
@@ -223,11 +223,7 @@ impl StreamEngine {
     /// same way [`HorizontalDb::from_transactions`] normalizes, so the
     /// incremental state tracks a full re-mine of the concatenated
     /// prefix. Returns the per-batch statistics.
-    pub fn ingest_batch<P: ExecutionPolicy>(
-        &mut self,
-        batch: &[Vec<ItemId>],
-        policy: &P,
-    ) -> BatchStats {
+    pub fn ingest_batch(&mut self, batch: &[Vec<ItemId>], threads: &Threads) -> BatchStats {
         let batch_index = self.state.generation; // 0-based index of this batch
         let mut stats = BatchStats::new(batch_index, batch.len() as u64);
 
@@ -314,16 +310,8 @@ impl StreamEngine {
                 }
             }
             let classes = classes_of_l2(dirty_pairs);
-            let mut remined = FrequentSet::new();
-            let mut class_stats = Vec::new();
-            policy.mine_classes(
-                classes,
-                threshold,
-                &self.cfg,
-                &mut self.meter,
-                &mut remined,
-                &mut class_stats,
-            );
+            let (remined, _) =
+                pipeline::mine_classes(classes, threshold, &self.cfg, &mut self.meter, threads);
             // Every itemset mined from class `a` starts with item `a`,
             // so the merged result set splits back by first item.
             for c in remined.sorted() {
@@ -437,7 +425,7 @@ fn count_changed_pairs(delta: &TriangleMatrix) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eclat::pipeline::{FixedThreads, Rayon, Serial};
+    use eclat::pipeline::Serial;
 
     fn txns(raw: &[&[u32]]) -> Vec<Vec<ItemId>> {
         raw.iter()
@@ -591,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn policies_agree() {
+    fn thread_counts_agree() {
         let data = txns(&[
             &[0, 1, 2],
             &[0, 1],
@@ -601,18 +589,19 @@ mod tests {
             &[0, 1, 3],
         ]);
         let minsup = MinSupport::from_fraction(0.3);
-        let mut serial = StreamEngine::new(4, minsup, 0.5, EclatConfig::default());
-        let mut rayon = StreamEngine::new(4, minsup, 0.5, EclatConfig::default());
-        let mut fixed = StreamEngine::new(4, minsup, 0.5, EclatConfig::default());
-        for chunk in data.chunks(2) {
-            serial.ingest_batch(chunk, &Serial);
-            rayon.ingest_batch(chunk, &Rayon);
-            fixed.ingest_batch(chunk, &FixedThreads::new(2));
+        let replay = |threads: &Threads| {
+            let mut engine = StreamEngine::new(4, minsup, 0.5, EclatConfig::default());
+            for chunk in data.chunks(2) {
+                engine.ingest_batch(chunk, threads);
+            }
+            engine
+        };
+        let serial = replay(&Serial);
+        for p in [1, 2, 3, 8] {
+            let engine = replay(&Threads::new(p));
+            assert_eq!(serial.state().frequent, engine.state().frequent, "P={p}");
+            assert_eq!(serial.state().rules, engine.state().rules, "P={p}");
         }
-        assert_eq!(serial.state().frequent, rayon.state().frequent);
-        assert_eq!(serial.state().frequent, fixed.state().frequent);
-        assert_eq!(serial.state().rules, rayon.state().rules);
-        assert_eq!(serial.state().rules, fixed.state().rules);
     }
 
     #[test]

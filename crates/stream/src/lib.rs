@@ -14,9 +14,8 @@
 //! 3. **remine** — the *dirty set* is computed (see
 //!    [`engine::StreamEngine::ingest_batch`] for the exact rule) and
 //!    only those equivalence classes are re-mined through the existing
-//!    `pipeline` kernel — any
-//!    [`ExecutionPolicy`](eclat::pipeline::ExecutionPolicy) works
-//!    unchanged;
+//!    `pipeline` kernel, on any
+//!    [`Threads`](eclat::executor::Threads) pool;
 //! 4. **merge** — clean classes carry their previous results over
 //!    (filtered to the new, possibly higher, support threshold), dirty
 //!    classes replace theirs, and rules are regenerated over the merged

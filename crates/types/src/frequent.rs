@@ -64,7 +64,11 @@ impl FrequentSet {
     }
 
     /// Merge another set into this one (same conflict rule as `insert`).
-    pub fn merge(&mut self, other: FrequentSet) {
+    /// The smaller set is re-inserted into the larger one.
+    pub fn merge(&mut self, mut other: FrequentSet) {
+        if other.map.len() > self.map.len() {
+            std::mem::swap(self, &mut other);
+        }
         for (is, sup) in other.map {
             self.insert(is, sup);
         }

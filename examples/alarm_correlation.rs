@@ -77,11 +77,12 @@ fn main() {
 
     let minsup = MinSupport::from_percent(2.0);
     let mut meter = mining_types::OpMeter::new();
-    let frequent = eclat::parallel::mine_with(
+    let frequent = eclat::pipeline::run(
         &db,
         minsup,
         &eclat::EclatConfig::with_singletons(),
         &mut meter,
+        &eclat::Threads::new(0),
     );
 
     println!("co-occurring alarm sets (support >= 2%):");

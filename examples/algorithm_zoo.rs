@@ -42,8 +42,14 @@ fn main() {
     timed("Eclat (sequential)", "the paper, §5", &mut || {
         eclat::sequential::mine(&db, minsup)
     });
-    timed("Eclat (rayon)", "the paper on modern cores", &mut || {
-        eclat::parallel::mine(&db, minsup)
+    timed("Eclat (parallel)", "the paper on modern cores", &mut || {
+        eclat::pipeline::run(
+            &db,
+            minsup,
+            &eclat::EclatConfig::default(),
+            &mut mining_types::OpMeter::new(),
+            &eclat::Threads::new(0),
+        )
     });
     timed("Eclat (diffsets)", "d-Eclat extension, §9", &mut || {
         // diffset kernel via the clique-free path

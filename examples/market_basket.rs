@@ -5,7 +5,7 @@
 //!
 //! Builds a retail scenario with named products, plants a handful of
 //! ground-truth co-purchase patterns on top of noise, mines with the
-//! rayon-parallel Eclat, and checks the planted patterns are recovered.
+//! thread-parallel Eclat, and checks the planted patterns are recovered.
 //!
 //! ```text
 //! cargo run --example market_basket --release
@@ -85,11 +85,12 @@ fn main() {
     // Mine with the shared-memory parallel Eclat at 5 % support.
     let minsup = MinSupport::from_percent(5.0);
     let mut meter = mining_types::OpMeter::new();
-    let frequent = eclat::parallel::mine_with(
+    let frequent = eclat::pipeline::run(
         &db,
         minsup,
         &eclat::EclatConfig::with_singletons(),
         &mut meter,
+        &eclat::Threads::new(0),
     );
     println!("frequent itemsets (>=2 items):");
     for c in frequent.sorted() {

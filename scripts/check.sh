@@ -38,6 +38,23 @@ cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
     --support 0.25 --spawn-local 4 > "$tmpdir/dmine.out"
 diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/dmine.out")
 
+echo "==> mine --algorithm parallel == mine (whole frequent set, t10 + t20i6)"
+# --min-size 1 --top <huge> prints every itemset, so the diff covers the
+# whole result set, not just the per-size counts and the top rows.
+whole=(--min-size 1 --top 1000000000)
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 "${whole[@]}" > "$tmpdir/mine_all.out"
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --algorithm parallel "${whole[@]}" > "$tmpdir/mine_par_all.out"
+diff <(tail -n +2 "$tmpdir/mine_all.out") <(tail -n +2 "$tmpdir/mine_par_all.out")
+cargo run -q --release -p eclat-cli -- generate --out "$tmpdir/t20.ech" \
+    --family t20i6 --transactions 10000 --seed 7 > /dev/null
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t20.ech" \
+    --support 1 "${whole[@]}" > "$tmpdir/mine_t20_all.out"
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t20.ech" \
+    --support 1 --algorithm parallel "${whole[@]}" > "$tmpdir/mine_t20_par_all.out"
+diff <(tail -n +2 "$tmpdir/mine_t20_all.out") <(tail -n +2 "$tmpdir/mine_t20_par_all.out")
+
 echo "==> dmine --spawn-local 2 --threads 2 == mine (hybrid W x P workers)"
 cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
     --support 0.25 --spawn-local 2 --threads 2 > "$tmpdir/dmine_hybrid.out"
@@ -131,7 +148,7 @@ cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/c10.ecs" \
     --minsup 6 --verify > "$tmpdir/seq.out"
 grep -q "\[verified\]" "$tmpdir/seq.out"
 
-echo "==> eclat seq: parallel policies byte-identical to serial"
+echo "==> eclat seq: parallel thread counts byte-identical to serial"
 cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/c10.ecs" \
     --minsup 6 --policy rayon > "$tmpdir/seq_rayon.out"
 cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/c10.ecs" \
@@ -139,7 +156,7 @@ cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/c10.ecs" \
 diff <(tail -n +2 "$tmpdir/seq.out") <(tail -n +2 "$tmpdir/seq_rayon.out")
 diff <(tail -n +2 "$tmpdir/seq_rayon.out") <(tail -n +2 "$tmpdir/seq_threads.out")
 
-echo "==> seqbench --smoke (SPADE policies + maxlen ablation, equality-asserted)"
+echo "==> seqbench --smoke (SPADE serial vs threads + maxlen ablation, equality-asserted)"
 cargo run -q --release -p repro-bench --bin seqbench -- --smoke \
     --json=results/seqbench.json
 

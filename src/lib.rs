@@ -37,9 +37,10 @@
 //!
 //! See the crate-level docs of each member for the full story:
 //!
-//! * [`eclat`] — the paper's contribution (sequential, rayon-parallel,
-//!   simulated-cluster, and hybrid variants, plus the clique clustering
-//!   and MaxEclat companions of its reference \[18\]),
+//! * [`eclat`] — the paper's contribution (sequential, thread-parallel
+//!   on the one std-only `Threads` executor, simulated-cluster, and
+//!   hybrid variants, plus the clique clustering and MaxEclat
+//!   companions of its reference \[18\]),
 //! * [`apriori`] / [`parbase`] — the baselines it is compared against
 //!   (Apriori, Count/Candidate Distribution, shared-memory CCPD, the
 //!   Partition algorithm, sampling with Toivonen's negative border),

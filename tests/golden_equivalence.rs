@@ -2,7 +2,7 @@
 //! identical frequent itemsets with identical supports on the same input.
 //!
 //! Algorithms covered: sequential Apriori, sequential Eclat, d-Eclat
-//! (diffsets), rayon-parallel Eclat, cluster Eclat, hybrid Eclat, Count
+//! (diffsets), thread-parallel Eclat, cluster Eclat, hybrid Eclat, Count
 //! Distribution, and Candidate Distribution — on realistic Quest data,
 //! not just toy matrices.
 
@@ -41,8 +41,14 @@ fn all_miners_agree_on_quest_data() {
     let eclat_seq = eclat::sequential::mine(&db, minsup);
     assert_eq!(eclat_seq, reference, "sequential Eclat");
 
-    let eclat_par = eclat::parallel::mine(&db, minsup);
-    assert_eq!(eclat_par, reference, "rayon Eclat");
+    let eclat_par = eclat::pipeline::run(
+        &db,
+        minsup,
+        &eclat::EclatConfig::default(),
+        &mut mining_types::OpMeter::new(),
+        &eclat::Threads::new(0),
+    );
+    assert_eq!(eclat_par, reference, "parallel Eclat");
 
     let cluster = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &Default::default());
     assert_eq!(cluster.frequent, reference, "cluster Eclat");
@@ -65,7 +71,13 @@ fn all_miners_agree_across_supports_and_seeds() {
             let minsup = MinSupport::from_percent(pct);
             let reference = eclat::sequential::mine(&db, minsup);
             assert_eq!(
-                eclat::parallel::mine(&db, minsup),
+                eclat::pipeline::run(
+                    &db,
+                    minsup,
+                    &eclat::EclatConfig::default(),
+                    &mut mining_types::OpMeter::new(),
+                    &eclat::Threads::new(0)
+                ),
                 reference,
                 "seed {seed} pct {pct}"
             );
@@ -133,7 +145,13 @@ fn every_representation_agrees_on_quest_data() {
             "sequential {repr:?}"
         );
         assert_eq!(
-            eclat::parallel::mine_with(&db, minsup, &cfg, &mut OpMeter::new()),
+            eclat::pipeline::run(
+                &db,
+                minsup,
+                &cfg,
+                &mut OpMeter::new(),
+                &eclat::Threads::new(0)
+            ),
             reference,
             "parallel {repr:?}"
         );
@@ -183,7 +201,13 @@ fn every_representation_agrees_on_dense_data() {
             "sequential {repr:?}"
         );
         assert_eq!(
-            eclat::parallel::mine_with(&db, minsup, &cfg, &mut OpMeter::new()),
+            eclat::pipeline::run(
+                &db,
+                minsup,
+                &cfg,
+                &mut OpMeter::new(),
+                &eclat::Threads::new(0)
+            ),
             reference,
             "parallel {repr:?}"
         );

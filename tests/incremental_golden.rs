@@ -7,7 +7,7 @@
 //! byte for byte all the way through the storage layer.
 
 use dbstore::{binfmt, HorizontalDb};
-use eclat::pipeline::{ExecutionPolicy, FixedThreads, Rayon, Serial};
+use eclat::pipeline::{Serial, Threads};
 use eclat::{EclatConfig, Representation};
 use eclat_stream::{MinedState, StreamEngine};
 use mining_types::{ItemId, MinSupport};
@@ -38,13 +38,13 @@ fn snapshot_bytes(state: &MinedState) -> Vec<u8> {
 /// Replay `txns` through the engine in batches of `splits[i % len]`
 /// transactions and assert byte-identity with the full re-mine of every
 /// prefix. Returns the number of batches ingested.
-fn assert_replay_matches_full<P: ExecutionPolicy>(
+fn assert_replay_matches_full(
     txns: &[Vec<ItemId>],
     splits: &[usize],
     minsup: MinSupport,
     confidence: f64,
     repr: Representation,
-    policy: &P,
+    threads: &Threads,
 ) -> usize {
     assert!(splits.iter().all(|&k| k > 0));
     let cfg = EclatConfig::with_representation(repr);
@@ -58,7 +58,7 @@ fn assert_replay_matches_full<P: ExecutionPolicy>(
     let mut batches = 0;
     while at < txns.len() {
         let end = (at + splits[batches % splits.len()]).min(txns.len());
-        let stats = engine.ingest_batch(&txns[at..end], policy);
+        let stats = engine.ingest_batch(&txns[at..end], threads);
         assert!(
             stats.classes_dirty <= stats.dirty_bound,
             "{repr:?}: pair-granular dirty set exceeded the item-granular bound"
@@ -125,21 +125,17 @@ fn replay_survives_border_crossings_both_directions() {
     }
 }
 
-/// The re-mine phase goes through the same `ExecutionPolicy` surface as
-/// the batch pipeline — threaded policies must replay identically.
+/// The re-mine phase runs on the same `Threads` executor as the batch
+/// pipeline — every thread count must replay identically.
 #[test]
 fn replay_is_policy_independent() {
     let txns = QuestGenerator::new(QuestParams::tiny(600, 7)).generate_all();
     let minsup = MinSupport::from_percent(1.5);
-    assert_replay_matches_full(&txns, &[150], minsup, 0.5, Representation::TidList, &Rayon);
-    assert_replay_matches_full(
-        &txns,
-        &[150],
-        minsup,
-        0.5,
-        Representation::Diffset,
-        &FixedThreads::new(3),
-    );
+    for p in [1, 2, 3, 8] {
+        for repr in [Representation::TidList, Representation::Diffset] {
+            assert_replay_matches_full(&txns, &[150], minsup, 0.5, repr, &Threads::new(p));
+        }
+    }
 }
 
 proptest! {

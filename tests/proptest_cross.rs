@@ -1,5 +1,5 @@
 //! Property-based cross-algorithm checks on arbitrary small databases:
-//! brute force == Apriori == Eclat (seq, rayon, cluster) for any input
+//! brute force == Apriori == Eclat (seq, parallel, cluster) for any input
 //! and any support.
 
 use apriori::reference::brute_force;
@@ -42,7 +42,7 @@ proptest! {
         let ec = eclat::sequential::mine(&db, minsup);
         prop_assert_eq!(&ec, &strip_singletons(&truth));
 
-        let par = eclat::parallel::mine(&db, minsup);
+        let par = eclat::pipeline::run(&db, minsup, &eclat::EclatConfig::default(), &mut mining_types::OpMeter::new(), &eclat::Threads::new(0));
         prop_assert_eq!(&par, &ec);
     }
 
@@ -84,7 +84,7 @@ proptest! {
             let cfg = EclatConfig::with_representation(repr);
             let seq = eclat::sequential::mine_with(&db, minsup, &cfg, &mut OpMeter::new());
             prop_assert_eq!(&seq, &reference, "sequential {:?}", repr);
-            let par = eclat::parallel::mine_with(&db, minsup, &cfg, &mut OpMeter::new());
+            let par = eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &eclat::Threads::new(0));
             prop_assert_eq!(&par, &reference, "parallel {:?}", repr);
             let cl = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &cfg);
             prop_assert_eq!(&cl.frequent, &reference, "cluster {:?}", repr);

@@ -1,7 +1,7 @@
 //! Golden tests for the structured mining-stats layer: the JSON emitted
 //! by [`mining_types::MiningStats::to_json`] is byte-stable for a fixed
 //! report, its key set (the schema fingerprint) is pinned, and every
-//! execution variant — sequential, rayon-parallel, simulated cluster,
+//! execution variant — sequential, thread-parallel, simulated cluster,
 //! and hybrid — fills the *same* schema with the same counters.
 //!
 //! The serving-stats document ([`assoc_serve::ServeStats`]) and the
@@ -259,7 +259,14 @@ fn all_variants_share_the_schema() {
     let topo = ClusterConfig::new(2, 2);
 
     let (_, seq) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut OpMeter::new());
-    let (_, par) = eclat::parallel::mine_stats(&db, minsup, &cfg, &mut OpMeter::new());
+    let (_, par) = eclat::pipeline::run_stats(
+        &db,
+        minsup,
+        &cfg,
+        &mut OpMeter::new(),
+        &eclat::Threads::new(0),
+        "parallel",
+    );
     let cluster = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &cfg).stats;
     let hybrid = eclat::hybrid::mine_hybrid(&db, minsup, &topo, &cost, &cfg).stats;
 
@@ -531,7 +538,14 @@ fn parallel_stats_match_sequential() {
     let mut m_seq = OpMeter::new();
     let mut m_par = OpMeter::new();
     let (fs_seq, seq) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut m_seq);
-    let (fs_par, par) = eclat::parallel::mine_stats(&db, minsup, &cfg, &mut m_par);
+    let (fs_par, par) = eclat::pipeline::run_stats(
+        &db,
+        minsup,
+        &cfg,
+        &mut m_par,
+        &eclat::Threads::new(0),
+        "parallel",
+    );
 
     assert_eq!(fs_seq, fs_par);
     assert_eq!(seq.num_frequent, par.num_frequent);
