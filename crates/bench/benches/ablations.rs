@@ -1,13 +1,13 @@
 //! Wall-clock ablations of the design choices DESIGN.md calls out:
 //! short-circuit on/off (A1), pruning on/off (A3), prefix-class vs
-//! maximal-clique clustering, tid-list vs diffset kernels, and full
-//! mining vs MaxEclat. Simulated-time versions of the same ablations
+//! maximal-clique clustering, the paper's tid-list kernel vs the
+//! per-class bitmap/diffset choice, and full mining vs MaxEclat. Simulated-time versions of the same ablations
 //! live in the `ablations` *binary*; these are real seconds on the build
 //! machine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbstore::HorizontalDb;
-use eclat::{EclatConfig, Representation};
+use eclat::EclatConfig;
 use mining_types::{MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
 use std::hint::black_box;
@@ -50,30 +50,23 @@ fn bench_ablations(c: &mut Criterion) {
             black_box(eclat::sequential::mine_with(&db, minsup, &cfg, &mut m).len())
         })
     });
-    for (label, repr) in [
-        ("repr_tidlist", Representation::TidList),
-        ("repr_diffset", Representation::Diffset),
-        (
-            "repr_autoswitch_d2",
-            Representation::AutoSwitch { depth: 2 },
-        ),
-    ] {
-        let cfg = EclatConfig::with_representation(repr);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut m = OpMeter::new();
-                black_box(eclat::sequential::mine_with(&db, minsup, &cfg, &mut m).len())
-            })
-        });
-    }
-    group.bench_function("repr_tidlist_gallop", |b| {
-        let cfg = EclatConfig {
-            gallop: true,
-            ..Default::default()
-        };
+    group.bench_function("repr_tidlist", |b| {
         b.iter(|| {
             let mut m = OpMeter::new();
-            black_box(eclat::sequential::mine_with(&db, minsup, &cfg, &mut m).len())
+            let cfg = EclatConfig::default();
+            black_box(
+                eclat::pipeline::run_tidlist_stats(&db, minsup, &cfg, &mut m)
+                    .0
+                    .len(),
+            )
+        })
+    });
+    group.bench_function("repr_auto", |b| {
+        b.iter(|| {
+            let mut m = OpMeter::new();
+            black_box(
+                eclat::sequential::mine_with(&db, minsup, &EclatConfig::default(), &mut m).len(),
+            )
         })
     });
     group.bench_function("clique_clustering", |b| {
@@ -82,22 +75,13 @@ fn bench_ablations(c: &mut Criterion) {
             black_box(eclat::clique::mine_with(&db, minsup, &EclatConfig::default(), &mut m).len())
         })
     });
-    for (label, repr) in [
-        ("maxeclat_tidlist", Representation::TidList),
-        ("maxeclat_diffset", Representation::Diffset),
-        (
-            "maxeclat_autoswitch_d2",
-            Representation::AutoSwitch { depth: 2 },
-        ),
-    ] {
-        let cfg = EclatConfig::with_representation(repr);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut m = OpMeter::new();
-                black_box(eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut m).len())
-            })
-        });
-    }
+    group.bench_function("maxeclat", |b| {
+        b.iter(|| {
+            let mut m = OpMeter::new();
+            let cfg = EclatConfig::default();
+            black_box(eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut m).len())
+        })
+    });
     group.finish();
 }
 

@@ -2,9 +2,10 @@
 //! paper calls out, using operation counts and simulated seconds.
 //!
 //! Pass `--json=PATH` to also write the machine-readable summary: the A1
-//! short-circuit and A2 scheduling numbers, the per-representation kernel
-//! counters (including the [`mining_types::KernelStats`] switch events),
-//! and the full sequential [`mining_types::MiningStats`] report.
+//! short-circuit and A2 scheduling numbers, the kernel counters of the
+//! paper's tid-lists and of the per-class bitmap/diffset choice
+//! (including the [`mining_types::KernelStats`] switch events), and the
+//! full sequential [`mining_types::MiningStats`] report.
 //!
 //! ```text
 //! cargo run -p repro-bench --bin ablations --release [-- --scale=tiny \
@@ -218,67 +219,21 @@ fn main() {
 
     // ---------- bonus: vertical representation axis ----------
     {
-        println!("EXT vertical representation — tid-lists vs diffsets vs mid-recursion");
-        println!("    auto-switch; element touches in the recursive phase:");
-        let run = |repr| {
-            let cfg = eclat::EclatConfig::with_representation(repr);
-            let mut m = OpMeter::new();
-            let (fs, stats) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut m);
-            (fs, m, stats)
-        };
+        println!("EXT vertical representation — the paper's tid-lists vs the per-class");
+        println!("    bitmap/diffset choice; element touches in the recursive phase:");
+        let cfg = EclatConfig::default();
+        let mut m_ref = OpMeter::new();
+        let (fs_ref, stats_ref) = eclat::pipeline::run_tidlist_stats(&db, minsup, &cfg, &mut m_ref);
+        let mut m = OpMeter::new();
+        let (fs, stats) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut m);
+        assert_eq!(fs, fs_ref);
         let mut jrows = Arr::new();
-        let (fs_ref, m_ref, stats_ref) = run(eclat::Representation::TidList);
-        println!(
-            "    {:<18} {:>14} element comparisons",
-            "tid-lists:", m_ref.tid_cmp
-        );
-        let jrow = |stats: &mining_types::MiningStats, m: &OpMeter| {
-            let k = stats.kernel_totals();
-            Obj::new()
-                .str("representation", &stats.representation)
-                .u64("tid_cmp", m.tid_cmp)
-                .u64("switch_events", k.switch_events)
-                .u64("peak_tid_bytes", k.peak_tid_bytes)
-                .finish()
-        };
-        jrows.raw(&jrow(&stats_ref, &m_ref));
-        for (label, repr) in [
-            ("diffsets:", eclat::Representation::Diffset),
-            (
-                "auto-switch(d=1):",
-                eclat::Representation::AutoSwitch { depth: 1 },
-            ),
-            (
-                "auto-switch(d=2):",
-                eclat::Representation::AutoSwitch { depth: 2 },
-            ),
-            (
-                "auto-switch(d=3):",
-                eclat::Representation::AutoSwitch { depth: 3 },
-            ),
-        ] {
-            let (fs, m, stats) = run(repr);
-            assert_eq!(fs, fs_ref);
+        for (label, stats, m) in [("tid-lists:", &stats_ref, &m_ref), ("auto:", &stats, &m)] {
             println!("    {label:<18} {:>14} element comparisons", m.tid_cmp);
-            jrows.raw(&jrow(&stats, &m));
-        }
-        // Galloping tid-list intersections (skewed-operand kernel knob).
-        {
-            let cfg = eclat::EclatConfig {
-                gallop: true,
-                ..Default::default()
-            };
-            let mut m = OpMeter::new();
-            let (fs, stats) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut m);
-            assert_eq!(fs, fs_ref);
-            println!(
-                "    {:<18} {:>14} element comparisons",
-                "tidlist+gallop:", m.tid_cmp
-            );
             let k = stats.kernel_totals();
             jrows.raw(
                 &Obj::new()
-                    .str("representation", "tidlist+gallop")
+                    .str("representation", &stats.representation)
                     .u64("tid_cmp", m.tid_cmp)
                     .u64("switch_events", k.switch_events)
                     .u64("peak_tid_bytes", k.peak_tid_bytes)
@@ -287,28 +242,15 @@ fn main() {
         }
         jdoc = jdoc
             .raw("representations", &jrows.finish())
-            .raw("sequential_stats", &stats_ref.to_json(true));
+            .raw("sequential_stats", &stats.to_json(true));
     }
 
     // ---------- bonus: representation × density matrix ----------
     {
-        println!("\nEXT representation × density — bitmap vs merge kernels");
+        println!("\nEXT representation × density — the paper's tid-lists vs the per-class choice");
         let d = scale.table2_databases()[0].num_transactions;
-        let reprs: [(&str, eclat::Representation); 5] = [
-            ("tidlist", eclat::Representation::TidList),
-            ("diffset", eclat::Representation::Diffset),
-            (
-                "autoswitch:2",
-                eclat::Representation::AutoSwitch { depth: 2 },
-            ),
-            ("bitmap", eclat::Representation::Bitmap),
-            (
-                "auto-density:8",
-                eclat::Representation::AutoDensity { permille: 8 },
-            ),
-        ];
         let mut jrows = Arr::new();
-        let mut dense_cmp: Vec<(String, u64, f64)> = Vec::new();
+        let mut dense_rows: Vec<(&str, u64, u64)> = Vec::new();
         for (db_label, params) in [
             ("dense", questgen::QuestParams::dense(d, 0xD15E)),
             ("sparse", questgen::QuestParams::sparse(d, 0x5845)),
@@ -317,14 +259,18 @@ fn main() {
             let ddb = HorizontalDb::from_transactions(txns);
             let dsup = MinSupport::from_percent(if db_label == "dense" { 25.0 } else { 0.25 });
             println!("    database: {db_label} (D={d})");
+            let cfg = EclatConfig::default();
             let mut fs_ref = None;
-            for (label, repr) in &reprs {
-                let cfg = eclat::EclatConfig::with_representation(*repr);
-                let mut m = OpMeter::new();
+            for label in ["tidlist", "auto"] {
+                let mine = |m: &mut OpMeter| match label {
+                    "tidlist" => eclat::pipeline::run_tidlist_stats(&ddb, dsup, &cfg, m),
+                    _ => eclat::sequential::mine_stats(&ddb, dsup, &cfg, m),
+                };
                 // Warm once, then time the measured run.
-                eclat::sequential::mine_with(&ddb, dsup, &cfg, &mut OpMeter::new());
+                mine(&mut OpMeter::new());
+                let mut m = OpMeter::new();
                 let t = std::time::Instant::now();
-                let (fs, stats) = eclat::sequential::mine_stats(&ddb, dsup, &cfg, &mut m);
+                let (fs, stats) = mine(&mut m);
                 let secs = t.elapsed().as_secs_f64();
                 match &fs_ref {
                     None => fs_ref = Some(fs),
@@ -336,7 +282,7 @@ fn main() {
                     m.tid_cmp, k.peak_tid_bytes
                 );
                 if db_label == "dense" {
-                    dense_cmp.push((label.to_string(), m.tid_cmp, secs));
+                    dense_rows.push((label, m.tid_cmp, k.peak_tid_bytes));
                 }
                 jrows.raw(
                     &Obj::new()
@@ -349,71 +295,54 @@ fn main() {
                 );
             }
         }
-        // The bitmap win the representation was built for: on the dense
-        // database its word-wise AND+popcount does strictly fewer metered
-        // element operations than the tid-list merge, and auto-density
-        // must match it there (dense classes all cross the 8‰ threshold).
-        let ops_of = |name: &str| {
-            dense_cmp
-                .iter()
-                .find(|(l, _, _)| l == name)
-                .map(|&(_, ops, _)| ops)
-                .unwrap()
+        // The bitmap win the per-class choice is built on: every class of
+        // the dense database is above the threshold, so `auto` mines it on
+        // word-wise AND+popcount, with strictly fewer metered element
+        // operations and no more tid memory than the tid-list merge.
+        let [(_, tl_ops, tl_peak), (_, auto_ops, auto_peak)] = dense_rows[..] else {
+            unreachable!("one tidlist and one auto row on the dense database")
         };
-        let (tl_ops, bm_ops, ad_ops) = (
-            ops_of("tidlist"),
-            ops_of("bitmap"),
-            ops_of("auto-density:8"),
-        );
         println!(
             "    dense-db bitmap win: {:.2}x fewer element ops than tid-lists",
-            tl_ops as f64 / bm_ops as f64
+            tl_ops as f64 / auto_ops as f64
         );
         assert!(
-            bm_ops < tl_ops,
-            "bitmap should beat tid-list merges on the dense database: {bm_ops} vs {tl_ops}"
+            auto_ops < tl_ops,
+            "bitmap classes should beat tid-list merges on the dense database: {auto_ops} vs {tl_ops}"
         );
         assert!(
-            ad_ops <= tl_ops,
-            "auto-density should never lose to plain tid-lists on the dense db: {ad_ops} vs {tl_ops}"
+            auto_peak <= tl_peak,
+            "bitmap classes should never hold more tid memory than tid-lists on the dense db: {auto_peak} vs {tl_peak}"
         );
         jdoc = jdoc.raw("representation_density", &jrows.finish());
         println!();
     }
 
-    // ---------- bonus: maximal mining × representation ----------
+    // ---------- bonus: maximal mining ----------
     {
-        println!("\nEXT maximal mining (MaxEclat) across representations");
+        println!("\nEXT maximal mining (MaxEclat) on the per-class bitmap/diffset choice");
         let oracle = eclat::maximal::maximal_of(&eclat::sequential::mine(&db, minsup));
         let mut jrows = Arr::new();
-        for (label, repr) in [
-            ("tid-lists:", eclat::Representation::TidList),
-            ("diffsets:", eclat::Representation::Diffset),
-            (
-                "auto-switch(d=2):",
-                eclat::Representation::AutoSwitch { depth: 2 },
-            ),
-        ] {
-            let cfg = eclat::EclatConfig::with_representation(repr);
-            let mut m = OpMeter::new();
-            let (fs, stats) = eclat::maximal::mine_maximal_stats(&db, minsup, &cfg, &mut m);
-            assert_eq!(fs, oracle);
-            let k = stats.kernel_totals();
-            println!(
-                "    {label:<18} {:>12} tid cmps  {:>6} switch events  {:>6} maximal sets",
-                m.tid_cmp,
-                k.switch_events,
-                fs.len()
-            );
-            jrows.raw(
-                &Obj::new()
-                    .str("representation", &stats.representation)
-                    .u64("tid_cmp", m.tid_cmp)
-                    .u64("switch_events", k.switch_events)
-                    .u64("count", fs.len() as u64)
-                    .finish(),
-            );
-        }
+        let mut m = OpMeter::new();
+        let (fs, stats) =
+            eclat::maximal::mine_maximal_stats(&db, minsup, &EclatConfig::default(), &mut m);
+        assert_eq!(fs, oracle);
+        let k = stats.kernel_totals();
+        println!(
+            "    {:<18} {:>12} tid cmps  {:>6} switch events  {:>6} maximal sets",
+            "auto:",
+            m.tid_cmp,
+            k.switch_events,
+            fs.len()
+        );
+        jrows.raw(
+            &Obj::new()
+                .str("representation", &stats.representation)
+                .u64("tid_cmp", m.tid_cmp)
+                .u64("switch_events", k.switch_events)
+                .u64("count", fs.len() as u64)
+                .finish(),
+        );
         jdoc = jdoc.raw("maximal_representations", &jrows.finish());
         println!();
     }

@@ -113,7 +113,7 @@ fn main() {
         .unwrap_or(0);
     let mut engine = StreamEngine::new(num_items, minsup, cfg.confidence, mining_cfg.clone());
     let mut run = StreamStats {
-        representation: format!("{:?}", mining_cfg.representation),
+        representation: eclat::pipeline::LABEL_AUTO.to_string(),
         batch_size: batch_size as u64,
         ..StreamStats::default()
     };

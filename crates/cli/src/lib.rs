@@ -6,21 +6,23 @@
 //! eclat generate --out data.ech --family t10i6 --transactions 100000 [--seed N]
 //! eclat stats    --input data.ech
 //! eclat mine     --input data.ech --support 0.1 [--algorithm eclat|parallel|apriori|clique]
-//!                [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]
 //!                [--maximal] [--min-size K] [--top N] [--stats[=json]]
 //! ```
 //!
-//! `--repr` is accepted as a shorthand for `--representation`; `--maximal`
-//! (MaxEclat) composes with every representation, and with `--stats[=json]`
-//! it emits an `"algorithm":"maxeclat"` report including look-ahead switch
-//! events.
+//! Every Eclat path (`mine` with any `--algorithm` but apriori,
+//! `--maximal`, `dmine` workers and `stream`) mines each equivalence
+//! class on fixed-width bitmaps when its tid density reaches a fixed
+//! threshold and on d-Eclat diffsets otherwise; `simulate` mines the
+//! paper's tid-lists. There is no representation flag: `mine`, `dmine`,
+//! `stream` and `simulate` reject the two removed spellings with an
+//! error naming what replaced them. `--maximal` (MaxEclat) with
+//! `--stats[=json]` emits an `"algorithm":"maxeclat"` report including
+//! look-ahead switch events.
 //!
 //! ```text
 //! eclat rules    --input data.ech --support 0.5 --confidence 0.8 [--top N]
 //! eclat simulate --input data.ech --support 0.1 --hosts 8 --procs 4
-//!                [--algorithm eclat|hybrid|countdist]
-//!                [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]
-//!                [--stats[=json]]
+//!                [--algorithm eclat|hybrid|countdist] [--stats[=json]]
 //! ```
 //!
 //! `--stats` appends the structured [`mining_types::MiningStats`] report
@@ -34,7 +36,6 @@
 //! eclat dmine    --input data.ech --support PCT
 //!                (--workers HOST:PORT,... | --spawn-local N)
 //!                [--threads P] [--mem-budget BYTES]
-//!                [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]
 //!                [--min-size K] [--top N] [--stats[=json]]
 //! ```
 //!
@@ -54,7 +55,7 @@
 //!
 //! ```text
 //! eclat stream   --input data.ech --support PCT --batch N [--confidence FRAC]
-//!                [--representation ...] [--out snap.ecr] [--verify] [--stats[=json]]
+//!                [--out snap.ecr] [--verify] [--stats[=json]]
 //! ```
 //!
 //! `stream` replays the database as a sequence of `--batch`-sized
@@ -118,6 +119,7 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         return Err(usage());
     };
     let args = parse_flags(rest)?;
+    reject_representation_flag(cmd, &args)?;
     match cmd.as_str() {
         "generate" => cmd_generate(&args),
         "stats" => cmd_stats(&args),
@@ -145,7 +147,6 @@ pub fn usage() -> String {
        generate --out FILE --sequences N [--family c10t4|c5t2|c20t3] [--seed N]\n\
        stats    --input FILE\n\
        mine     --input FILE --support PCT [--algorithm eclat|parallel|apriori|clique]\n\
-                [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]] (alias --repr)\n\
                 [--maximal] [--min-size K] [--top N] [--stats[=json]]\n\
                 [--out SNAPSHOT [--confidence FRAC]]\n\
        seq      --input FILE (--minsup|--support) PCT [--maxlen K]\n\
@@ -154,17 +155,13 @@ pub fn usage() -> String {
                 (rayon, threads and threads:0 all run one thread per core)\n\
        rules    --input FILE --support PCT --confidence FRAC [--top N]\n\
        simulate --input FILE --support PCT [--hosts H] [--procs P]\n\
-                [--algorithm eclat|hybrid|countdist]\n\
-                [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]\n\
-                [--stats[=json]]\n\
+                [--algorithm eclat|hybrid|countdist] [--stats[=json]]\n\
        worker   [--listen HOST:PORT] [--threads P] [--mem-budget BYTES]\n\
                 [--port-file PATH] [--serve-secs S]   (--threads 0 = one per core)\n\
        dmine    --input FILE --support PCT (--workers HOST:PORT,... | --spawn-local N)\n\
                 [--threads P] [--mem-budget BYTES]\n\
-                [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]\n\
                 [--min-size K] [--top N] [--stats[=json]]\n\
        stream   --input FILE --support PCT --batch N [--confidence FRAC]\n\
-                [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]\n\
                 [--out SNAPSHOT] [--verify] [--stats[=json]]\n\
        serve    (--input FILE --support PCT | --load SNAPSHOT) [--port P] [--host H] [--confidence FRAC]\n\
                 [--shards N] [--cache N] [--workers N] [--port-file PATH] [--serve-secs S]\n\
@@ -173,6 +170,11 @@ pub fn usage() -> String {
                 [--supersets-of LIST] [--rules-for LIST] [--topk K [--size S]]\n\
                 [--limit N] [--top N] [--server-stats] [--metrics]\n\
        trace    --input FILE[,FILE...] [--merge OUT.jsonl] [--chrome OUT.json]\n\
+     \n\
+     kernels:\n\
+       mine, dmine and stream mine each class on bitmaps when its tid\n\
+       density is high and on diffsets otherwise; simulate mines the\n\
+       paper's tid-lists. There is no representation flag.\n\
      \n\
      observability:\n\
        mine/dmine/worker take --trace PATH to record span/event timelines\n\
@@ -279,46 +281,24 @@ fn cmd_stats(flags: &Flags) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parse `--representation
-/// tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]`
-/// (also accepted under the `--repr` shorthand).
-fn representation_of(flags: &Flags) -> Result<eclat::Representation, String> {
-    let Some(raw) = flags.get("representation").or_else(|| flags.get("repr")) else {
-        return Ok(eclat::Representation::default());
+/// The removed representation flags (long form and short alias) used to
+/// pick the tid-set representation. The kernel is now chosen per class,
+/// so a stale flag gets an error naming what replaced it instead of
+/// being silently ignored.
+fn reject_representation_flag(cmd: &str, flags: &Flags) -> Result<(), String> {
+    let replacement = match cmd {
+        "mine" | "dmine" | "stream" => {
+            "each class is mined on bitmaps or diffsets, chosen from its tid density"
+        }
+        "simulate" => "the simulated cluster mines the paper's tid-lists",
+        _ => return Ok(()),
     };
-    match raw.split_once(':') {
-        None => match raw {
-            "tidlist" => Ok(eclat::Representation::TidList),
-            "diffset" => Ok(eclat::Representation::Diffset),
-            "autoswitch" => Ok(eclat::Representation::AutoSwitch { depth: 2 }),
-            "bitmap" => Ok(eclat::Representation::Bitmap),
-            "auto-density" => Ok(eclat::Representation::AutoDensity {
-                permille: eclat::DEFAULT_DENSITY_PERMILLE,
-            }),
-            other => Err(format!(
-                "unknown representation '{other}' (tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE])"
-            )),
-        },
-        Some(("autoswitch", d)) => {
-            let depth: u32 = d
-                .parse()
-                .map_err(|_| format!("bad autoswitch depth '{d}'"))?;
-            Ok(eclat::Representation::AutoSwitch { depth })
-        }
-        Some(("auto-density", p)) => {
-            let permille: u32 = p
-                .parse()
-                .map_err(|_| format!("bad auto-density permille '{p}'"))?;
-            if permille > 1000 {
-                return Err(format!(
-                    "auto-density permille must be 0..=1000, got {permille}"
-                ));
-            }
-            Ok(eclat::Representation::AutoDensity { permille })
-        }
-        Some((other, _)) => Err(format!(
-            "unknown representation '{other}' (only autoswitch takes a :DEPTH, auto-density a :PERMILLE)"
-        )),
+    match ["representation", "repr"]
+        .into_iter()
+        .find(|f| flags.has(f))
+    {
+        Some(flag) => Err(format!("{cmd}: --{flag} was removed; {replacement}")),
+        None => Ok(()),
     }
 }
 
@@ -326,19 +306,13 @@ fn mine_by_algorithm(
     db: &HorizontalDb,
     minsup: MinSupport,
     algorithm: &str,
-    representation: eclat::Representation,
 ) -> Result<FrequentSet, String> {
     let mut meter = OpMeter::new();
-    let cfg = eclat::EclatConfig::with_representation(representation);
+    let cfg = eclat::EclatConfig::default();
     Ok(match algorithm {
         "eclat" => eclat::sequential::mine_with(db, minsup, &cfg, &mut meter),
         "parallel" => pipeline::run(db, minsup, &cfg, &mut meter, &Threads::new(0)),
-        "apriori" => {
-            if representation != eclat::Representation::default() {
-                return Err("--representation applies to the eclat variants only".to_string());
-            }
-            apriori::mine(db, minsup)
-        }
+        "apriori" => apriori::mine(db, minsup),
         "clique" => eclat::clique::mine_with(db, minsup, &cfg, &mut meter),
         other => return Err(format!("unknown algorithm '{other}'")),
     })
@@ -419,7 +393,6 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
     let db = load_db(flags)?;
     let minsup = support_of(flags)?;
     let algorithm = flags.get("algorithm").unwrap_or("eclat");
-    let representation = representation_of(flags)?;
     let min_size: usize = flags.parse("min-size", 2usize)?;
     let top: usize = flags.parse("top", 20usize)?;
     let stats = stats_mode(flags)?;
@@ -430,8 +403,8 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
 
     let t0 = std::time::Instant::now();
     let mut report = None;
+    let cfg = eclat::EclatConfig::default();
     let fs = if flags.has("maximal") {
-        let cfg = eclat::EclatConfig::with_representation(representation);
         if stats != StatsMode::Off {
             let (fs, r) =
                 eclat::maximal::mine_maximal_stats(&db, minsup, &cfg, &mut OpMeter::new());
@@ -441,7 +414,6 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
             eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new())
         }
     } else if stats != StatsMode::Off {
-        let cfg = eclat::EclatConfig::with_representation(representation);
         let mut meter = OpMeter::new();
         let (fs, r) = match algorithm {
             "eclat" => eclat::sequential::mine_stats(&db, minsup, &cfg, &mut meter),
@@ -457,7 +429,7 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
         report = Some(r);
         fs
     } else {
-        mine_by_algorithm(&db, minsup, algorithm, representation)?
+        mine_by_algorithm(&db, minsup, algorithm)?
     };
     let dt = t0.elapsed().as_secs_f64();
 
@@ -563,7 +535,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
     let topo = ClusterConfig::new(hosts, procs);
     let cost = CostModel::dec_alpha_1997();
     let algorithm = flags.get("algorithm").unwrap_or("eclat");
-    let cfg = eclat::EclatConfig::with_representation(representation_of(flags)?);
+    let cfg = eclat::EclatConfig::default();
     let stats = stats_mode(flags)?;
     let mut out = String::new();
     match algorithm {
@@ -715,7 +687,6 @@ fn spawn_local_workers(
 fn cmd_dmine(flags: &Flags) -> Result<String, String> {
     let db = load_db(flags)?;
     let minsup = support_of(flags)?;
-    let representation = representation_of(flags)?;
     let min_size: usize = flags.parse("min-size", 2usize)?;
     let top: usize = flags.parse("top", 20usize)?;
     let stats = stats_mode(flags)?;
@@ -767,13 +738,9 @@ fn cmd_dmine(flags: &Flags) -> Result<String, String> {
         return Err("dmine: --workers list is empty".to_string());
     }
 
-    let dist_cfg = eclat_net::DistConfig {
-        cfg: eclat::EclatConfig::with_representation(representation),
-        ..eclat_net::DistConfig::default()
-    };
     let t0 = std::time::Instant::now();
-    let report =
-        eclat_net::mine_distributed(&db, minsup, &addrs, &dist_cfg).map_err(|e| e.to_string())?;
+    let report = eclat_net::mine_distributed(&db, minsup, &addrs, &Default::default())
+        .map_err(|e| e.to_string())?;
     let dt = t0.elapsed().as_secs_f64();
 
     let trace_msg = match &trace {
@@ -906,7 +873,6 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
     if !(0.0..=1.0).contains(&confidence) {
         return Err("--confidence must be in [0, 1]".to_string());
     }
-    let representation = representation_of(flags)?;
     let stats = stats_mode(flags)?;
     let verify = flags.has("verify");
     let out_path = flags.get("out").map(str::to_string);
@@ -915,11 +881,11 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
         arm_tracing(0);
     }
 
-    let cfg = eclat::EclatConfig::with_representation(representation);
+    let cfg = eclat::EclatConfig::default();
     let mut engine =
         eclat_stream::StreamEngine::new(db.num_items(), minsup, confidence, cfg.clone());
     let mut run = eclat_stream::StreamStats {
-        representation: format!("{representation}"),
+        representation: pipeline::LABEL_AUTO.to_string(),
         batch_size: batch as u64,
         ..Default::default()
     };
@@ -1492,7 +1458,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(
-            human.contains("mining stats: eclat / sequential / tidlist"),
+            human.contains("mining stats: eclat / sequential / auto"),
             "{human}"
         );
         assert!(human.contains("phases:"), "{human}");
@@ -1571,126 +1537,58 @@ mod tests {
     }
 
     #[test]
-    fn maximal_works_across_representations() {
-        let path = tempfile("maxrep");
+    fn removed_representation_flags_are_rejected_by_name() {
+        let path = tempfile("reprflag");
         generate(&path, 300);
-        // The headline embeds wall time, so compare count + body only.
-        let split = |s: String| {
-            let count = s.split(' ').next().unwrap().to_string();
-            let body = s.lines().skip(1).collect::<Vec<_>>().join("\n");
-            (count, body)
-        };
-        let base = split(
-            run(&argv(&[
-                "mine",
-                "--input",
-                &path,
-                "--support",
-                "1",
-                "--maximal",
-            ]))
-            .unwrap(),
-        );
-        for repr in [
-            "diffset",
-            "autoswitch:0",
-            "autoswitch:2",
-            "bitmap",
-            "auto-density",
-            "auto-density:1000",
+        for (args, flag) in [
+            ("mine --repr bitmap", "--repr"),
+            ("mine --representation=diffset", "--representation"),
+            ("mine --maximal --repr=tidlist", "--repr"),
+            ("dmine --spawn-local 1 --repr bitmap", "--repr"),
+            ("dmine --representation auto-density", "--representation"),
+            ("stream --batch 300 --repr diffset", "--repr"),
+            ("simulate --representation tidlist", "--representation"),
+            ("simulate --repr", "--repr"),
         ] {
-            let out = split(
-                run(&argv(&[
-                    "mine",
-                    "--input",
-                    &path,
-                    "--support",
-                    "1",
-                    "--maximal",
-                    "--repr",
-                    repr,
-                ]))
-                .unwrap(),
+            let mut full: Vec<&str> = args.split(' ').collect();
+            full.extend(["--input", &path, "--support", "1"]);
+            let err = run(&argv(&full)).unwrap_err();
+            let replacement = match full[0] {
+                "simulate" => "the simulated cluster mines the paper's tid-lists",
+                _ => "each class is mined on bitmaps or diffsets, chosen from its tid density",
+            };
+            assert_eq!(
+                err,
+                format!("{}: {flag} was removed; {replacement}", full[0])
             );
-            assert_eq!(out, base, "representation {repr} diverged");
         }
+        // Subcommands that never had the flag keep ignoring unknown flags.
+        assert!(run(&argv(&["stats", "--input", &path, "--repr", "bitmap"])).is_ok());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn mine_agrees_across_bitmap_and_auto_density() {
-        let path = tempfile("bitmaprep");
+    fn stats_json_labels_the_kernel() {
+        let path = tempfile("kernlabel");
         generate(&path, 300);
-        let base = run(&argv(&["mine", "--input", &path, "--support", "1"])).unwrap();
-        let body = |s: String| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        let base_body = body(base);
-        for repr in ["bitmap", "auto-density", "auto-density:0", "auto-density:8"] {
-            let out = run(&argv(&[
-                "mine",
-                "--input",
-                &path,
-                "--support",
-                "1",
-                "--repr",
-                repr,
-            ]))
-            .unwrap();
-            assert_eq!(body(out), base_body, "representation {repr} diverged");
+        for (args, label) in [
+            ("mine", "auto"),
+            ("mine --algorithm parallel", "auto"),
+            ("mine --maximal", "auto"),
+            ("stream --batch 300", "auto"),
+            ("simulate --hosts 2", "tidlist"),
+            ("simulate --algorithm hybrid", "tidlist"),
+        ] {
+            let mut full: Vec<&str> = args.split(' ').collect();
+            full.extend(["--input", &path, "--support", "1", "--stats=json"]);
+            let out = run(&argv(&full)).unwrap();
+            let label = format!("\"representation\":\"{label}\"");
+            assert!(out.contains(&label), "{args}: {out}");
+            if args.ends_with("--maximal") {
+                assert!(out.contains("\"algorithm\":\"maxeclat\""), "{out}");
+                assert!(out.contains("\"switch_events\""), "{out}");
+            }
         }
-        // Stats JSON carries the stable representation name.
-        let out = run(&argv(&[
-            "mine",
-            "--input",
-            &path,
-            "--support",
-            "1",
-            "--repr",
-            "auto-density",
-            "--stats=json",
-        ]))
-        .unwrap();
-        assert!(
-            out.contains("\"representation\":\"auto-density:8\""),
-            "{out}"
-        );
-        // Bad values are rejected with the full menu.
-        for bad in ["auto-density:1001", "auto-density:x", "bitmaps"] {
-            assert!(
-                run(&argv(&[
-                    "mine",
-                    "--input",
-                    &path,
-                    "--support",
-                    "1",
-                    "--repr",
-                    bad
-                ]))
-                .is_err(),
-                "{bad} should be rejected"
-            );
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn maximal_stats_json_reports_switch_events() {
-        let path = tempfile("maxstats");
-        generate(&path, 300);
-        let out = run(&argv(&[
-            "mine",
-            "--input",
-            &path,
-            "--support",
-            "1",
-            "--maximal",
-            "--repr",
-            "diffset",
-            "--stats=json",
-        ]))
-        .unwrap();
-        assert!(out.contains("\"algorithm\":\"maxeclat\""), "{out}");
-        assert!(out.contains("\"representation\":\"diffset\""), "{out}");
-        assert!(out.contains("\"switch_events\""), "{out}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1916,28 +1814,19 @@ mod tests {
             .collect::<Vec<_>>()
             .join(",");
         let tail = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        // Every wire-encodable representation must survive the hybrid
-        // spilling round trip bit-identically (bodies differ only in the
-        // header line naming the runtime).
-        for repr in ["tidlist", "diffset", "bitmap", "auto-density:8"] {
-            let dmined = run(&argv(&[
-                "dmine",
-                "--input",
-                &path,
-                "--support",
-                "0.5",
-                "--repr",
-                repr,
-                "--workers",
-                &addrs,
-            ]))
-            .unwrap();
-            assert_eq!(
-                tail(&mined),
-                tail(&dmined),
-                "hybrid spill run diverged for --repr {repr}"
-            );
-        }
+        // The hybrid spilling round trip is bit-identical (bodies differ
+        // only in the header line naming the runtime).
+        let dmined = run(&argv(&[
+            "dmine",
+            "--input",
+            &path,
+            "--support",
+            "0.5",
+            "--workers",
+            &addrs,
+        ]))
+        .unwrap();
+        assert_eq!(tail(&mined), tail(&dmined), "hybrid spill run diverged");
         std::fs::remove_file(&path).unwrap();
     }
 

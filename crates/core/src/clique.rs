@@ -145,7 +145,8 @@ pub fn mine_class_cliques(
     let mut scratch: FxHashMap<mining_types::Itemset, u32> = FxHashMap::default();
     for sub in clique_clusters(&class, edges) {
         let mut local = FrequentSet::new();
-        pipeline::compute_class(sub, minsup, cfg, meter, &mut local);
+        let mut kernel = mining_types::stats::KernelStats::new();
+        pipeline::compute_class_stats(sub, minsup, cfg, meter, &mut local, &mut kernel);
         for (is, sup) in local.iter() {
             scratch.insert(is.clone(), sup);
         }

@@ -21,7 +21,7 @@
 //! the recorded traces replay against the cost model to produce the
 //! virtual [`Timeline`] reported in Table 2 / Figure 7.
 
-use crate::compute::EclatConfig;
+use crate::compute::{compute_frequent_stats, EclatConfig};
 use crate::equivalence::classes_of_l2;
 use crate::pipeline;
 use crate::schedule::{schedule_l2, Assignment};
@@ -88,7 +88,7 @@ pub fn mine_cluster(
         .collect();
     let mut barriers = BarrierSeq::new();
     let mut out = FrequentSet::new();
-    let mut stats = MiningStats::new("eclat", "cluster", &cfg.representation.to_string());
+    let mut stats = MiningStats::new("eclat", "cluster", pipeline::LABEL_TIDLIST);
     stats.transactions = n as u64;
     stats.threshold = u64::from(threshold);
     // Per-phase op totals, merged across the per-processor meters (the
@@ -257,12 +257,13 @@ pub fn mine_cluster(
             .into_iter()
             .map(|(s, l)| (pairs_only[s].0, pairs_only[s].1, l))
             .collect();
-        let (local, class_stats) = pipeline::mine_classes(
+        let (local, class_stats) = pipeline::mine_classes_with(
             classes_of_l2(pairs_with_lists),
             threshold,
             cfg,
             &mut meter,
             &pipeline::Serial,
+            compute_frequent_stats::<TidList>,
         );
         rec.compute(&meter);
         async_ops.merge(&meter);
@@ -420,44 +421,17 @@ mod tests {
     }
 
     #[test]
-    fn representations_agree_on_the_cluster() {
-        use crate::compute::Representation;
-        let db = random_db(8, 180, 12, 6);
-        let minsup = MinSupport::from_percent(6.0);
-        let expect = sequential::mine(&db, minsup);
-        for repr in [
-            Representation::Diffset,
-            Representation::AutoSwitch { depth: 2 },
-        ] {
-            let report = mine_cluster(
-                &db,
-                minsup,
-                &ClusterConfig::new(2, 2),
-                &cost(),
-                &EclatConfig::with_representation(repr),
-            );
-            assert_eq!(report.frequent, expect, "{repr:?}");
-        }
-    }
-
-    #[test]
     fn cluster_stats_match_sequential_stats() {
         let db = random_db(6, 220, 12, 6);
         let minsup = MinSupport::from_percent(5.0);
         let cfg = EclatConfig::default();
-        let (_, seq) = pipeline::run_stats(
-            &db,
-            minsup,
-            &cfg,
-            &mut OpMeter::new(),
-            &pipeline::Serial,
-            "sequential",
-        );
+        let (_, seq) = pipeline::run_tidlist_stats(&db, minsup, &cfg, &mut OpMeter::new());
         let report = mine_cluster(&db, minsup, &ClusterConfig::new(2, 2), &cost(), &cfg);
         let stats = &report.stats;
         assert_eq!(stats.variant, "cluster");
+        assert_eq!(stats.representation, pipeline::LABEL_TIDLIST);
         // The cluster partitions the same work: merged levels, per-class
-        // kernels, and totals all match the sequential report.
+        // kernels, and totals all match the paper kernel's serial report.
         assert_eq!(stats.levels, seq.levels);
         assert_eq!(stats.classes, seq.classes);
         assert_eq!(stats.kernel_totals(), seq.kernel_totals());

@@ -12,10 +12,12 @@
 //! ```
 //!
 //! The kernel is generic over the members' vertical representation
-//! ([`TidSet`]): the same recursion mines tid-lists, d-Eclat diffsets,
-//! or the mid-recursion [`tidlist::AdaptiveSet`] switcher. All pairwise
-//! candidate generation in this crate funnels through `join_level` —
-//! the one place the `I1 × I2` loop exists.
+//! ([`TidSet`]). The measured drivers mine each class on bitmaps or on
+//! d-Eclat diffsets, chosen from the class's density
+//! (`pipeline::compute_class_stats`); the simulated cluster variants mine the
+//! paper's plain tid-lists. All pairwise candidate generation in this
+//! crate funnels through `join_level` — the one place the `I1 × I2`
+//! loop exists.
 //!
 //! Once a level's members are joined, the parent tid-lists are dropped
 //! before recursing — *"once L_k has been determined, we can delete
@@ -27,69 +29,6 @@ use crate::schedule::ScheduleHeuristic;
 use mining_types::stats::KernelStats;
 use mining_types::{FrequentSet, FxHashSet, Itemset, OpMeter};
 use tidlist::TidSet;
-
-/// Which vertical representation the per-class recursion runs on (S17).
-///
-/// Every variant's driver builds `L2` classes as tid-lists (that is what
-/// the vertical transform produces); this knob decides what happens below
-/// `L2`. See `pipeline::compute_class` for the dispatch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Representation {
-    /// Plain sorted tid-lists — the paper's §4.2 layout.
-    #[default]
-    TidList,
-    /// d-Eclat diffsets: the very first join below `L2` converts
-    /// `d(xy·z) = t(xy) − t(xz)` and the subtree continues on diffsets.
-    Diffset,
-    /// Start on tid-lists and convert each branch to diffsets after
-    /// `depth` further join levels. `depth = 0` is exactly [`Diffset`];
-    /// a depth deeper than the lattice never switches (pure tid-lists).
-    ///
-    /// [`Diffset`]: Representation::Diffset
-    AutoSwitch {
-        /// Tid-list join levels below `L2` before the switch.
-        depth: u32,
-    },
-    /// Fixed-width bitmaps: every class converts to `u64` bitmap words
-    /// over the class's tid window and joins become word `AND` +
-    /// popcount (`tidlist::BitmapSet`). A big win on dense databases,
-    /// a memory/work loss on sparse ones — `AutoDensity` picks per class.
-    ///
-    /// [`AutoDensity`]: Representation::AutoDensity
-    Bitmap,
-    /// Per-class density dispatch: a class whose average member density
-    /// (`Σ support / (members · window span)`) is at least
-    /// `permille / 1000` mines on bitmaps; sparser classes mine on the
-    /// explicitly vectorized chunked tid-list kernels
-    /// (`tidlist::ChunkedList`).
-    AutoDensity {
-        /// Density threshold in thousandths. The default
-        /// [`DEFAULT_DENSITY_PERMILLE`] sits at the op-count crossover:
-        /// a `w`-word bitmap join costs `w` word ops while the merge
-        /// costs about `2·d·64·w` element probes, so the bitmap is
-        /// cheaper once density `d ≳ 1/128 ≈ 8‰`.
-        permille: u32,
-    },
-}
-
-/// Default `auto-density` threshold (8‰ ≈ the bitmap-vs-merge op-count
-/// crossover; see [`Representation::AutoDensity`]).
-pub const DEFAULT_DENSITY_PERMILLE: u32 = 8;
-
-impl std::fmt::Display for Representation {
-    /// Stable lowercase form used by the CLI flag parser and the stats
-    /// JSON: `tidlist`, `diffset`, `autoswitch:N`, `bitmap`,
-    /// `auto-density:N`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Representation::TidList => f.write_str("tidlist"),
-            Representation::Diffset => f.write_str("diffset"),
-            Representation::AutoSwitch { depth } => write!(f, "autoswitch:{depth}"),
-            Representation::Bitmap => f.write_str("bitmap"),
-            Representation::AutoDensity { permille } => write!(f, "auto-density:{permille}"),
-        }
-    }
-}
 
 /// Tuning switches for Eclat (all variants).
 #[derive(Clone, Debug)]
@@ -108,17 +47,6 @@ pub struct EclatConfig {
     /// this on adds a cheap piggybacked count during the first scan so
     /// the output is a complete downward-closed set for rule generation.
     pub include_singletons: bool,
-    /// Vertical representation used below `L2` (tid-lists, diffsets, or
-    /// the depth-triggered switch).
-    pub representation: Representation,
-    /// Use the adaptive galloping intersection for tid-list joins below
-    /// `L2`: exponential search through the longer operand when the
-    /// lengths are skewed by more than 16×, two-pointer merge otherwise.
-    /// Applies to [`Representation::TidList`] only — diffset differences
-    /// have no galloping analogue. Galloping computes full intersections
-    /// (no §5.3 short-circuit), so `short_circuit` has no effect on the
-    /// joins it handles.
-    pub gallop: bool,
     /// Class-scheduling heuristic (cluster/hybrid/parallel variants).
     pub heuristic: ScheduleHeuristic,
     /// Transmit/receive buffer for the §6.3 exchange (cluster variant).
@@ -131,8 +59,6 @@ impl Default for EclatConfig {
             short_circuit: true,
             prune: false,
             include_singletons: false,
-            representation: Representation::TidList,
-            gallop: false,
             heuristic: ScheduleHeuristic::GreedyPairs,
             buffer_bytes: 2 * 1024 * 1024, // the paper's 2 MB buffers
         }
@@ -144,14 +70,6 @@ impl EclatConfig {
     pub fn with_singletons() -> Self {
         EclatConfig {
             include_singletons: true,
-            ..Default::default()
-        }
-    }
-
-    /// Config mining on the given representation, rest default.
-    pub fn with_representation(representation: Representation) -> Self {
-        EclatConfig {
-            representation,
             ..Default::default()
         }
     }
@@ -178,8 +96,7 @@ pub(crate) trait JoinHandler<S> {
 /// report each outcome to the handler.
 ///
 /// This is the **only** pairwise-join loop in the crate — the recursive
-/// kernel, the maximal-clique variant, and the d-Eclat wrapper all route
-/// through it, so candidate and comparison metering is identical across
+/// kernel and the MaxEclat fallback both route through it, so candidate and comparison metering is identical across
 /// variants.
 pub(crate) fn join_level<S: TidSet>(
     members: &[ClassMember<S>],
@@ -364,7 +281,7 @@ fn prune_ok(candidate: &Itemset, infrequent: &FxHashSet<Itemset>, meter: &mut Op
 mod tests {
     use super::*;
     use mining_types::Itemset;
-    use tidlist::{AdaptiveSet, TidList};
+    use tidlist::TidList;
 
     fn member(raw: &[u32], tids: &[u32]) -> ClassMember {
         ClassMember {
@@ -547,80 +464,5 @@ mod tests {
         );
         assert_eq!(plain.infrequent, 2);
         assert_eq!(plain.short_circuit_hits, 0);
-    }
-
-    #[test]
-    fn kernel_stats_see_adaptive_switches() {
-        use mining_types::stats::KernelStats;
-        // Dense class: every join is frequent, so with fuel 1 the
-        // second-level joins all convert to diffsets.
-        let class = EquivalenceClass {
-            prefix: Itemset::of(&[0]),
-            members: (1..=4)
-                .map(|b| ClassMember {
-                    itemset: Itemset::of(&[0, b]),
-                    tids: AdaptiveSet::with_fuel(TidList::of(&[1, 2, 3]), 1),
-                })
-                .collect(),
-        };
-        let mut stats = KernelStats::new();
-        compute_frequent_stats(
-            class,
-            3,
-            &EclatConfig::default(),
-            &mut OpMeter::new(),
-            &mut FrequentSet::new(),
-            &mut stats,
-        );
-        // C(4,3)=4 level-4 members are the first produced at fuel 0.
-        assert_eq!(stats.switch_events, 4);
-        assert_eq!(stats.frequent, 6 + 4 + 1);
-    }
-
-    #[test]
-    fn generic_kernel_agrees_across_representations() {
-        // The same class mined on tid-lists and on AdaptiveSet with every
-        // fuel level must produce identical frequent sets.
-        let class = EquivalenceClass {
-            prefix: Itemset::of(&[0]),
-            members: (1..=4)
-                .map(|b| {
-                    member(
-                        &[0, b],
-                        &(0..30).filter(|x| x % b != 0 || b == 1).collect::<Vec<_>>(),
-                    )
-                })
-                .collect(),
-        };
-        let mut expected = FrequentSet::new();
-        compute_frequent(
-            class.clone(),
-            3,
-            &EclatConfig::default(),
-            &mut OpMeter::new(),
-            &mut expected,
-        );
-        for fuel in [0u32, 1, 2, 10] {
-            let adaptive = EquivalenceClass {
-                prefix: class.prefix.clone(),
-                members: class
-                    .members
-                    .iter()
-                    .map(|m| ClassMember {
-                        itemset: m.itemset.clone(),
-                        tids: AdaptiveSet::with_fuel(m.tids.clone(), fuel),
-                    })
-                    .collect(),
-            };
-            for short_circuit in [true, false] {
-                let cfg = EclatConfig {
-                    short_circuit,
-                    ..Default::default()
-                };
-                let mut out = FrequentSet::new();
-                compute_frequent(adaptive.clone(), 3, &cfg, &mut OpMeter::new(), &mut out);
-                assert_eq!(out, expected, "fuel {fuel} sc {short_circuit}");
-            }
-        }
     }
 }

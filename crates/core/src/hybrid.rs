@@ -18,8 +18,9 @@
 //! * only host leaders (the first processor of each host) participate in
 //!   the tid-list exchange — cross-host bytes drop accordingly.
 
-use crate::compute::EclatConfig;
+use crate::compute::{compute_frequent_stats, EclatConfig};
 use crate::equivalence::classes_of_l2;
+use crate::pipeline;
 use crate::schedule::{schedule_weights, shard_classes, Assignment};
 use crate::transform::{build_pair_tidlists, count_pairs, index_pairs};
 use dbstore::{BlockPartition, HorizontalDb};
@@ -50,7 +51,7 @@ pub fn mine_hybrid(
         .collect();
     let mut barriers = BarrierSeq::new();
     let mut out = FrequentSet::new();
-    let mut stats = MiningStats::new("eclat", "hybrid", &cfg.representation.to_string());
+    let mut stats = MiningStats::new("eclat", "hybrid", pipeline::LABEL_TIDLIST);
     stats.transactions = n as u64;
     stats.threshold = u64::from(threshold);
     let mut init_ops = OpMeter::new();
@@ -270,12 +271,13 @@ pub fn mine_hybrid(
                 rec.disk_read(bytes);
             }
             let mut meter = OpMeter::new();
-            let (local_out, class_stats) = crate::pipeline::mine_classes(
+            let (local_out, class_stats) = pipeline::mine_classes_with(
                 my_classes,
                 threshold,
                 cfg,
                 &mut meter,
-                &crate::pipeline::Serial,
+                &pipeline::Serial,
+                compute_frequent_stats::<TidList>,
             );
             rec.compute(&meter);
             async_ops.merge(&meter);
@@ -396,17 +398,11 @@ mod tests {
         let db = random_db(11, 240, 12, 6);
         let minsup = MinSupport::from_percent(5.0);
         let cfg = EclatConfig::default();
-        let (_, seq) = crate::pipeline::run_stats(
-            &db,
-            minsup,
-            &cfg,
-            &mut OpMeter::new(),
-            &crate::pipeline::Serial,
-            "sequential",
-        );
+        let (_, seq) = pipeline::run_tidlist_stats(&db, minsup, &cfg, &mut OpMeter::new());
         let report = mine_hybrid(&db, minsup, &ClusterConfig::new(2, 2), &cost(), &cfg);
         let stats = &report.stats;
         assert_eq!(stats.variant, "hybrid");
+        assert_eq!(stats.representation, pipeline::LABEL_TIDLIST);
         assert_eq!(stats.levels, seq.levels);
         assert_eq!(stats.classes, seq.classes);
         assert_eq!(stats.kernel_totals(), seq.kernel_totals());

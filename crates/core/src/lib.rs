@@ -4,10 +4,13 @@
 //!
 //! One generic recursive kernel ([`compute::compute_frequent`], Figure 3
 //! of the paper) serves every variant. It is parameterized over the
-//! members' vertical representation ([`tidlist::TidSet`]): plain
-//! tid-lists, d-Eclat diffsets, or the mid-recursion
-//! [`tidlist::AdaptiveSet`] switcher — selected per run through
-//! [`compute::Representation`] in [`EclatConfig`]. All pairwise candidate
+//! members' vertical representation ([`tidlist::TidSet`]), and the
+//! representation is not a setting: the measured drivers mine each
+//! class on fixed-width bitmaps when its tid density reaches a fixed
+//! threshold and on d-Eclat diffsets (the paper's §9 memory future work)
+//! otherwise ([`pipeline::compute_class_stats`]); the simulated [`cluster`]
+//! and [`hybrid`] variants mine the paper's plain tid-lists, whose
+//! comparisons their cost model prices. All pairwise candidate
 //! generation funnels through one loop (`compute::join_level`), so
 //! operation metering is comparable across variants and representations.
 //!
@@ -42,15 +45,12 @@
 //! one in-process parallel executor — weighted independent tasks pulled
 //! heaviest-first, results in task order, reused by the `eclat-seq`
 //! sequence miner, the streaming engine and the distributed worker),
-//! [`transform`]
-//! (horizontal → vertical transformation with §6.3's offset placement),
-//! and [`diffset_mine`] (the d-Eclat entry point — a thin wrapper over
-//! the generic kernel at [`compute::Representation::Diffset`]).
+//! and [`transform`] (horizontal → vertical transformation with §6.3's
+//! offset placement).
 
 pub mod clique;
 pub mod cluster;
 pub mod compute;
-pub mod diffset_mine;
 pub mod equivalence;
 pub mod executor;
 pub mod hybrid;
@@ -60,6 +60,6 @@ pub mod schedule;
 pub mod sequential;
 pub mod transform;
 
-pub use compute::{EclatConfig, Representation, DEFAULT_DENSITY_PERMILLE};
+pub use compute::EclatConfig;
 pub use executor::Threads;
 pub use schedule::ScheduleHeuristic;

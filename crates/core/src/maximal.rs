@@ -9,18 +9,18 @@
 //! is skipped in one step. Only on failure does it fall back to the
 //! one-extension-at-a-time recursion.
 //!
-//! The look-ahead runs on any [`EclatConfig::representation`]: it is
-//! built on the [`TidSet`] multi-way fold (`fold_join_bounded_metered`),
-//! which tracks the representation per join depth — tid-list
-//! intersections, the tid-list → diffset conversion, and diffset
-//! differences can mix inside one fold (see
+//! Each class runs on bitmaps or diffsets, chosen by its density as in
+//! the full miner. The look-ahead is built on the [`TidSet`] multi-way
+//! fold (`fold_join_bounded_metered`), which tracks the representation
+//! per join depth — on a diffset class the tid-list → diffset conversion
+//! and diffset differences mix inside one fold (see
 //! `tidlist::AdaptiveSet::fold_with`).
 //!
 //! Output: the maximal frequent itemsets of size ≥ 2 with their exact
 //! supports. Cross-checked against `FrequentSet::maximal()` of the full
 //! miner.
 
-use crate::compute::{join_level, EclatConfig, JoinHandler, Representation};
+use crate::compute::{join_level, EclatConfig, JoinHandler};
 use crate::equivalence::{ClassMember, EquivalenceClass};
 use crate::pipeline::{self, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE, PHASE_TRANSFORM};
 use crate::transform::count_pairs;
@@ -36,8 +36,7 @@ pub fn mine_maximal(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
     mine_maximal_with(db, minsup, &EclatConfig::default(), &mut meter)
 }
 
-/// [`mine_maximal`] with configuration and metering. Runs on whatever
-/// [`EclatConfig::representation`] the config selects.
+/// [`mine_maximal`] with configuration and metering.
 pub fn mine_maximal_with(
     db: &HorizontalDb,
     minsup: MinSupport,
@@ -58,7 +57,7 @@ pub fn mine_maximal_stats(
     meter: &mut OpMeter,
 ) -> (FrequentSet, MiningStats) {
     let threshold = minsup.count_threshold(db.num_transactions());
-    let mut stats = MiningStats::new("maxeclat", "sequential", &cfg.representation.to_string());
+    let mut stats = MiningStats::new("maxeclat", "sequential", pipeline::LABEL_AUTO);
     stats.transactions = db.num_transactions() as u64;
     stats.threshold = u64::from(threshold);
     let start_ops = *meter;
@@ -143,9 +142,8 @@ pub fn mine_maximal_stats(
     (out, stats)
 }
 
-/// One class of the max search: dispatch the tid-list `L2` class to the
-/// representation picked by the config, mirroring
-/// `pipeline::compute_class_stats`.
+/// One class of the max search on bitmaps or diffsets, chosen by
+/// [`pipeline::class_is_dense`] as in `pipeline::compute_class_stats`.
 fn max_class(
     class: EquivalenceClass,
     minsup: u32,
@@ -160,63 +158,24 @@ fn max_class(
         found.push((m.itemset.clone(), m.tids.support()));
         return;
     }
-    match cfg.representation {
-        Representation::TidList if cfg.gallop => max_search(
-            pipeline::gallop_class(class),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        ),
-        Representation::TidList => max_search(class, minsup, cfg, meter, found, stats),
-        Representation::Diffset => max_search(
-            pipeline::fuel_class(class, 0),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        ),
-        Representation::AutoSwitch { depth } => max_search(
-            pipeline::fuel_class(class, depth),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        ),
-        Representation::Bitmap => max_search(
+    if pipeline::class_is_dense(&class) {
+        max_search(
             pipeline::bitmap_class(class),
             minsup,
             cfg,
             meter,
             found,
             stats,
-        ),
-        Representation::AutoDensity { permille } => {
-            // Same per-class density split as the full miner: dense
-            // classes fold on bitmaps, sparse ones on the chunked kernels.
-            if pipeline::class_is_dense(&class, permille) {
-                max_search(
-                    pipeline::bitmap_class(class),
-                    minsup,
-                    cfg,
-                    meter,
-                    found,
-                    stats,
-                )
-            } else {
-                max_search(
-                    pipeline::chunked_class(class),
-                    minsup,
-                    cfg,
-                    meter,
-                    found,
-                    stats,
-                )
-            }
-        }
+        )
+    } else {
+        max_search(
+            pipeline::diffset_class(class),
+            minsup,
+            cfg,
+            meter,
+            found,
+            stats,
+        )
     }
 }
 
@@ -354,19 +313,13 @@ mod tests {
     use apriori::reference::random_db;
     use mining_types::ItemId;
 
-    /// All representations exercised by the cross-representation tests.
-    fn all_representations() -> Vec<Representation> {
-        vec![
-            Representation::TidList,
-            Representation::Diffset,
-            Representation::AutoSwitch { depth: 0 },
-            Representation::AutoSwitch { depth: 2 },
-            Representation::Bitmap,
-            Representation::AutoDensity { permille: 8 },
-            // Extreme thresholds force the all-chunked / all-bitmap arms.
-            Representation::AutoDensity { permille: 1000 },
-            Representation::AutoDensity { permille: 0 },
-        ]
+    /// T10.I6 sample whose classes at 0.5% are all below the density
+    /// threshold, so the search runs on diffsets.
+    fn sparse_db() -> HorizontalDb {
+        HorizontalDb::from_transactions(
+            questgen::QuestGenerator::new(questgen::QuestParams::t10_i6(3_000).with_seed(5))
+                .generate_all(),
+        )
     }
 
     #[test]
@@ -383,43 +336,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_representation_matches_the_oracle() {
-        for seed in [1u64, 8] {
-            let db = random_db(seed, 200, 12, 6);
-            for pct in [5.0, 15.0] {
-                let minsup = MinSupport::from_percent(pct);
-                let oracle = maximal_of(&crate::sequential::mine(&db, minsup));
-                for repr in all_representations() {
-                    for short_circuit in [true, false] {
-                        let cfg = EclatConfig {
-                            representation: repr,
-                            short_circuit,
-                            ..Default::default()
-                        };
-                        let got = mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new());
-                        assert_eq!(
-                            got, oracle,
-                            "seed {seed} pct {pct} {repr:?} sc {short_circuit}"
-                        );
-                    }
-                }
-            }
-        }
+    /// Locally maximal sets of one class searched on representation `S`,
+    /// sorted.
+    fn class_maxima<S: TidSet>(class: EquivalenceClass<S>, threshold: u32) -> Vec<(Itemset, u32)> {
+        let mut found = Vec::new();
+        let cfg = EclatConfig::default();
+        max_search(
+            class,
+            threshold,
+            &cfg,
+            &mut OpMeter::new(),
+            &mut found,
+            &mut KernelStats::new(),
+        );
+        found.sort();
+        found
     }
 
     #[test]
-    fn gallop_config_matches_the_oracle() {
-        let db = random_db(8, 200, 12, 6);
-        let minsup = MinSupport::from_percent(5.0);
-        let oracle = maximal_of(&crate::sequential::mine(&db, minsup));
-        let cfg = EclatConfig {
-            gallop: true,
-            ..Default::default()
-        };
-        let mut meter = OpMeter::new();
-        assert_eq!(mine_maximal_with(&db, minsup, &cfg, &mut meter), oracle);
-        assert!(meter.tid_cmp > 0);
+    fn matches_the_oracle_on_both_sides_of_the_density_choice() {
+        let inputs = [
+            ("sparse", sparse_db(), 0.5),
+            ("dense", random_db(1, 200, 12, 6), 5.0),
+            ("dense", random_db(8, 200, 12, 6), 15.0),
+            ("dense", dense_db(), 50.0),
+        ];
+        for (side, db, pct) in inputs {
+            let minsup = MinSupport::from_percent(pct);
+            let oracle = maximal_of(&crate::sequential::mine(&db, minsup));
+            assert!(oracle.max_size() >= 3, "{side} {pct}%");
+            for short_circuit in [true, false] {
+                let cfg = EclatConfig {
+                    short_circuit,
+                    ..Default::default()
+                };
+                let got = mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new());
+                assert_eq!(got, oracle, "{side} {pct}% sc {short_circuit}");
+            }
+            // Class by class, both kernels find the tid-list search's maxima.
+            let threshold = minsup.count_threshold(db.num_transactions());
+            let tri = count_pairs(&db, 0..db.num_transactions(), &mut OpMeter::new());
+            let l2 = pipeline::frequent_l2(&tri, threshold);
+            for class in pipeline::vertical_classes(&db, &l2, &mut OpMeter::new()) {
+                assert_eq!(pipeline::class_is_dense(&class), side == "dense");
+                if class.size() < 2 {
+                    continue;
+                }
+                let paper = class_maxima(class.clone(), threshold);
+                let bitmaps = class_maxima(pipeline::bitmap_class(class.clone()), threshold);
+                assert_eq!(bitmaps, paper, "{side} {pct}% {:?}", class.prefix);
+                assert_eq!(
+                    class_maxima(pipeline::diffset_class(class), threshold),
+                    paper
+                );
+            }
+        }
     }
 
     /// Dense look-ahead-heavy database: all transactions share one long
@@ -457,26 +428,16 @@ mod tests {
     }
 
     #[test]
-    fn dense_lookahead_agrees_across_representations() {
-        let db = dense_db();
-        let minsup = MinSupport::from_percent(50.0);
-        let oracle = maximal_of(&crate::sequential::mine(&db, minsup));
-        for repr in all_representations() {
-            let cfg = EclatConfig::with_representation(repr);
-            let got = mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new());
-            assert_eq!(got, oracle, "{repr:?}");
-        }
-    }
-
-    #[test]
     fn maximal_stats_report_switch_events_on_diffsets() {
-        let db = dense_db();
-        let minsup = MinSupport::from_percent(50.0);
-        let cfg = EclatConfig::with_representation(Representation::Diffset);
+        // Sparse classes mine on diffsets: every frequent join below L2
+        // is a tid-list → diffset switch.
+        let db = sparse_db();
+        let minsup = MinSupport::from_percent(0.5);
+        let cfg = EclatConfig::default();
         let (fs, stats) = mine_maximal_stats(&db, minsup, &cfg, &mut OpMeter::new());
-        assert_eq!(fs.len(), 1);
+        assert!(!fs.is_empty());
         assert_eq!(stats.algorithm, "maxeclat");
-        assert_eq!(stats.representation, "diffset");
+        assert_eq!(stats.representation, pipeline::LABEL_AUTO);
         let totals = stats.kernel_totals();
         assert!(
             totals.switch_events > 0,
@@ -514,15 +475,5 @@ mod tests {
     fn empty_database() {
         let db = HorizontalDb::of(&[]);
         assert!(mine_maximal(&db, MinSupport::from_percent(1.0)).is_empty());
-        for repr in all_representations() {
-            let cfg = EclatConfig::with_representation(repr);
-            assert!(mine_maximal_with(
-                &db,
-                MinSupport::from_percent(1.0),
-                &cfg,
-                &mut OpMeter::new()
-            )
-            .is_empty());
-        }
     }
 }

@@ -13,18 +13,18 @@
 //!    tid-lists and group them into prefix equivalence classes (§5.2.2,
 //!    §4.1);
 //! 3. **Asynchronous phase** ([`mine_classes`] → [`mine_class`]) —
-//!    per-class recursive mining (§5.3), dispatched to the
-//!    representation picked by [`EclatConfig::representation`].
+//!    per-class recursive mining (§5.3), each class on bitmaps or on
+//!    diffsets as its density decides ([`compute_class_stats`]).
 //!
 //! [`run`] composes the phases on a [`Threads`] pool: [`Serial`]
 //! reproduces the sequential algorithm, `Threads::new(0)` the
 //! shared-memory one on every core. The cluster and hybrid variants
 //! interleave the phases with the simulated communication/cost model, so
-//! they call the phase helpers directly instead of [`run`] — but their
-//! per-class mining is the same [`mine_classes`] used here,
-//! representation dispatch included.
+//! they call the phase helpers directly instead of [`run`], and mine
+//! their classes on the paper's plain tid-lists so the cost model prices
+//! the comparisons it was calibrated on.
 
-use crate::compute::{compute_frequent_stats, EclatConfig, Representation};
+use crate::compute::{compute_frequent_stats, EclatConfig};
 use crate::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
 pub use crate::executor::{Serial, Threads};
 use crate::schedule::class_weights;
@@ -35,7 +35,7 @@ use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter, TriangleMa
 use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
-use tidlist::{AdaptiveSet, BitmapSet, ChunkedList, GallopList};
+use tidlist::{AdaptiveSet, BitmapSet, TidList};
 
 /// Trace/stats label of the initialization phase (§5.1 counting).
 pub const PHASE_INIT: &str = "init";
@@ -161,15 +161,45 @@ pub fn vertical_classes(
     )
 }
 
+/// Density, in thousandths, at which a class mines on bitmaps instead of
+/// diffsets (see [`class_is_dense`]). Chosen by wall clock, not by the
+/// op-count crossover near 8‰: per-class timings on Quest data put
+/// diffsets ahead up to 19‰ and bitmaps ahead from 20‰ on the dense
+/// preset (EXPERIMENTS.md, "Per-class kernel choice").
+const DENSE_PERMILLE: u64 = 20;
+
+/// `MiningStats.representation` of a run whose classes take the
+/// per-class density choice of [`compute_class_stats`].
+pub const LABEL_AUTO: &str = "auto";
+/// `MiningStats.representation` of the simulated variants, which mine
+/// the paper's plain tid-lists so their op counts price §4.2's merges.
+pub const LABEL_TIDLIST: &str = "tidlist";
+
+/// A per-class kernel: mine below a tid-list `L2` class, recording what
+/// it finds and its work counters.
+pub(crate) type ClassKernel =
+    fn(EquivalenceClass, u32, &EclatConfig, &mut OpMeter, &mut FrequentSet, &mut KernelStats);
+
 /// Phase 3 for one class: record its members (they are frequent by
-/// construction), then run the recursive kernel on the configured
-/// representation. Returns the per-class work statistics.
+/// construction), then mine below them with [`compute_class_stats`].
+/// Returns the per-class work statistics.
 pub fn mine_class(
     class: EquivalenceClass,
     threshold: u32,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
     out: &mut FrequentSet,
+) -> ClassStats {
+    mine_class_with(class, threshold, cfg, meter, out, compute_class_stats)
+}
+
+fn mine_class_with(
+    class: EquivalenceClass,
+    threshold: u32,
+    cfg: &EclatConfig,
+    meter: &mut OpMeter,
+    out: &mut FrequentSet,
+    kernel: ClassKernel,
 ) -> ClassStats {
     for m in &class.members {
         out.insert(m.itemset.clone(), m.tids.support());
@@ -179,7 +209,7 @@ pub fn mine_class(
         members: class.members.len() as u64,
         kernel: KernelStats::new(),
     };
-    compute_class_stats(class, threshold, cfg, meter, out, &mut stats.kernel);
+    kernel(class, threshold, cfg, meter, out, &mut stats.kernel);
     stats
 }
 
@@ -195,6 +225,20 @@ pub fn mine_classes(
     meter: &mut OpMeter,
     threads: &Threads,
 ) -> (FrequentSet, Vec<ClassStats>) {
+    mine_classes_with(classes, threshold, cfg, meter, threads, compute_class_stats)
+}
+
+/// [`mine_classes`] on a given per-class kernel. The simulated variants
+/// and [`run_tidlist_stats`] pass the paper's tid-list kernel,
+/// `compute_frequent_stats::<TidList>`.
+pub(crate) fn mine_classes_with(
+    classes: Vec<EquivalenceClass>,
+    threshold: u32,
+    cfg: &EclatConfig,
+    meter: &mut OpMeter,
+    threads: &Threads,
+    kernel: ClassKernel,
+) -> (FrequentSet, Vec<ClassStats>) {
     let weights = class_weights(&classes, cfg.heuristic);
     let locals: Vec<Mutex<(FrequentSet, OpMeter)>> =
         (0..threads.get()).map(|_| Mutex::default()).collect();
@@ -202,7 +246,7 @@ pub fn mine_classes(
         let _span = eclat_obs::trace::span_arg("class", i as u64);
         let mut local = locals[t].lock().expect("per-thread results poisoned");
         let (out, m) = &mut *local;
-        mine_class(class, threshold, cfg, m, out)
+        mine_class_with(class, threshold, cfg, m, out, kernel)
     });
     let mut out = FrequentSet::new();
     for local in locals {
@@ -213,25 +257,14 @@ pub fn mine_classes(
     (out, stats)
 }
 
-/// Run the recursive kernel on a tid-list `L2` class, dispatching on
-/// [`EclatConfig::representation`]. The class members themselves must
-/// already be recorded by the caller ([`mine_class`] does both).
+/// Run the recursive kernel below a tid-list `L2` class, filling the
+/// kernel work counters. The class members themselves must already be
+/// recorded by the caller ([`mine_class`] does both).
 ///
-/// `Diffset` wraps each member with fuel 0 — the first join below `L2`
-/// converts to `d(xy·z) = t(xy) − t(xz)` and the subtree continues on
-/// diffsets, which is exactly d-Eclat. `AutoSwitch { depth }` delays the
-/// conversion `depth` further levels.
-pub fn compute_class(
-    class: EquivalenceClass,
-    threshold: u32,
-    cfg: &EclatConfig,
-    meter: &mut OpMeter,
-    out: &mut FrequentSet,
-) {
-    compute_class_stats(class, threshold, cfg, meter, out, &mut KernelStats::new());
-}
-
-/// [`compute_class`] that also fills the kernel work counters.
+/// A dense class ([`class_is_dense`]) mines on fixed-width bitmaps,
+/// where a join is a word `AND` + popcount. Any other class mines on
+/// d-Eclat diffsets: the first join below `L2` converts to
+/// `d(xy·z) = t(xy) − t(xz)` and the subtree continues on diffsets.
 pub fn compute_class_stats(
     class: EquivalenceClass,
     threshold: u32,
@@ -240,33 +273,16 @@ pub fn compute_class_stats(
     out: &mut FrequentSet,
     stats: &mut KernelStats,
 ) {
-    match cfg.representation {
-        Representation::TidList if cfg.gallop => {
-            compute_frequent_stats(gallop_class(class), threshold, cfg, meter, out, stats)
-        }
-        Representation::TidList => compute_frequent_stats(class, threshold, cfg, meter, out, stats),
-        Representation::Diffset => {
-            compute_frequent_stats(fuel_class(class, 0), threshold, cfg, meter, out, stats)
-        }
-        Representation::AutoSwitch { depth } => {
-            compute_frequent_stats(fuel_class(class, depth), threshold, cfg, meter, out, stats)
-        }
-        Representation::Bitmap => {
-            compute_frequent_stats(bitmap_class(class), threshold, cfg, meter, out, stats)
-        }
-        Representation::AutoDensity { permille } => {
-            if class_is_dense(&class, permille) {
-                compute_frequent_stats(bitmap_class(class), threshold, cfg, meter, out, stats)
-            } else {
-                compute_frequent_stats(chunked_class(class), threshold, cfg, meter, out, stats)
-            }
-        }
+    if class_is_dense(&class) {
+        compute_frequent_stats(bitmap_class(class), threshold, cfg, meter, out, stats)
+    } else {
+        compute_frequent_stats(diffset_class(class), threshold, cfg, meter, out, stats)
     }
 }
 
-/// Wrap a tid-list class into the adaptive representation with the given
-/// switch budget (`fuel = 0` → pure diffsets below `L2`).
-pub(crate) fn fuel_class(class: EquivalenceClass, fuel: u32) -> EquivalenceClass<AdaptiveSet> {
+/// Wrap a tid-list class for d-Eclat: `AdaptiveSet` with zero fuel
+/// converts to diffsets at the first join below `L2`.
+pub(crate) fn diffset_class(class: EquivalenceClass) -> EquivalenceClass<AdaptiveSet> {
     EquivalenceClass {
         prefix: class.prefix,
         members: class
@@ -274,25 +290,7 @@ pub(crate) fn fuel_class(class: EquivalenceClass, fuel: u32) -> EquivalenceClass
             .into_iter()
             .map(|m| ClassMember {
                 itemset: m.itemset,
-                tids: AdaptiveSet::with_fuel(m.tids, fuel),
-            })
-            .collect(),
-    }
-}
-
-/// Wrap a tid-list class into the adaptive-galloping representation
-/// (`EclatConfig::gallop`): joins go through
-/// `TidList::intersect_adaptive`, picking the exponential-search kernel
-/// on skewed operands.
-pub(crate) fn gallop_class(class: EquivalenceClass) -> EquivalenceClass<GallopList> {
-    EquivalenceClass {
-        prefix: class.prefix,
-        members: class
-            .members
-            .into_iter()
-            .map(|m| ClassMember {
-                itemset: m.itemset,
-                tids: GallopList(m.tids),
+                tids: AdaptiveSet::with_fuel(m.tids, 0),
             })
             .collect(),
     }
@@ -316,30 +314,14 @@ pub(crate) fn bitmap_class(class: EquivalenceClass) -> EquivalenceClass<BitmapSe
     }
 }
 
-/// Wrap a tid-list class into the chunked-kernel representation: joins
-/// run the 8-wide unrolled block merge / chunked galloping kernels — the
-/// sparse side of `auto-density`.
-pub(crate) fn chunked_class(class: EquivalenceClass) -> EquivalenceClass<ChunkedList> {
-    EquivalenceClass {
-        prefix: class.prefix,
-        members: class
-            .members
-            .into_iter()
-            .map(|m| ClassMember {
-                itemset: m.itemset,
-                tids: ChunkedList(m.tids),
-            })
-            .collect(),
-    }
-}
-
-/// The `auto-density` decision: a class is dense when its average member
+/// The per-class kernel choice: a class is dense when its average member
 /// density over the class's word-aligned tid window reaches
-/// `permille / 1000`, i.e. `Σ support · 1000 ≥ permille · members · span`.
-/// Integer arithmetic throughout so the decision is exactly reproducible
-/// across hosts; an empty window (all members empty) counts as dense —
-/// the zero-width bitmap is free.
-pub(crate) fn class_is_dense(class: &EquivalenceClass, permille: u32) -> bool {
+/// `DENSE_PERMILLE / 1000`, i.e.
+/// `Σ support · 1000 ≥ DENSE_PERMILLE · members · span`. Integer
+/// arithmetic throughout so the choice is exactly reproducible across
+/// hosts; an empty window (all members empty) counts as dense — the
+/// zero-width bitmap is free.
+pub fn class_is_dense(class: &EquivalenceClass) -> bool {
     let (_, words) = BitmapSet::frame_of(class.members.iter().map(|m| &m.tids));
     let span = words as u64 * 64;
     let sum: u64 = class
@@ -347,7 +329,7 @@ pub(crate) fn class_is_dense(class: &EquivalenceClass, permille: u32) -> bool {
         .iter()
         .map(|m| u64::from(m.tids.support()))
         .sum();
-    sum * 1000 >= u64::from(permille) * class.members.len() as u64 * span
+    sum * 1000 >= DENSE_PERMILLE * class.members.len() as u64 * span
 }
 
 /// The full three-phase pipeline on a [`Threads`] pool. This is the
@@ -396,8 +378,52 @@ pub fn run_stats(
     threads: &Threads,
     variant: &str,
 ) -> (FrequentSet, MiningStats) {
+    let kernel: ClassKernel = compute_class_stats;
+    run_stats_on(
+        db,
+        minsup,
+        cfg,
+        meter,
+        threads,
+        variant,
+        (kernel, LABEL_AUTO),
+    )
+}
+
+/// The paper's kernel on one thread: [`run_stats`] with every class
+/// mined on plain tid-lists (the §4.2 layout whose comparisons the
+/// simulated variants price), labelled [`LABEL_TIDLIST`]. It is the
+/// reference the per-class density choice is checked against and the
+/// `tidlist` row of the ablations, not a second way to mine.
+pub fn run_tidlist_stats(
+    db: &HorizontalDb,
+    minsup: MinSupport,
+    cfg: &EclatConfig,
+    meter: &mut OpMeter,
+) -> (FrequentSet, MiningStats) {
+    let kernel: ClassKernel = compute_frequent_stats::<TidList>;
+    run_stats_on(
+        db,
+        minsup,
+        cfg,
+        meter,
+        &Serial,
+        "sequential",
+        (kernel, LABEL_TIDLIST),
+    )
+}
+
+fn run_stats_on(
+    db: &HorizontalDb,
+    minsup: MinSupport,
+    cfg: &EclatConfig,
+    meter: &mut OpMeter,
+    threads: &Threads,
+    variant: &str,
+    (kernel, label): (ClassKernel, &str),
+) -> (FrequentSet, MiningStats) {
     let threshold = minsup.count_threshold(db.num_transactions());
-    let mut stats = MiningStats::new("eclat", variant, &cfg.representation.to_string());
+    let mut stats = MiningStats::new("eclat", variant, label);
     stats.transactions = db.num_transactions() as u64;
     stats.threshold = u64::from(threshold);
     let mut out = FrequentSet::new();
@@ -441,7 +467,7 @@ pub fn run_stats(
     let span_async = eclat_obs::trace::span(PHASE_ASYNC);
     let t_async = Instant::now();
     let ops_before_async = *meter;
-    let (found, class_stats) = mine_classes(classes, threshold, cfg, meter, threads);
+    let (found, class_stats) = mine_classes_with(classes, threshold, cfg, meter, threads, kernel);
     out.merge(found);
     stats.phases.push(PhaseStats {
         label: PHASE_ASYNC.to_string(),
@@ -553,50 +579,124 @@ mod tests {
         }
     }
 
+    /// `(side, db, minsup %)`: T10.I6 samples whose classes are all
+    /// sparse, random and Quest databases whose classes are all dense,
+    /// and a small Quest sample with classes on both sides. The root
+    /// golden, incremental and dmine suites mine these same inputs, so
+    /// this pins which side of the choice each of them covers.
+    fn kernel_inputs() -> Vec<(&'static str, HorizontalDb, f64)> {
+        use questgen::{QuestGenerator, QuestParams};
+        let quest = |p| HorizontalDb::from_transactions(QuestGenerator::new(p).generate_all());
+        let t10 = |seed| quest(QuestParams::t10_i6(3_000).with_seed(seed));
+        // Every transaction holds one 6-item core: deep, all dense.
+        let core = (0..100u32)
+            .map(|i| {
+                (0..6)
+                    .chain((i % 10 == 0).then_some(6 + i / 10 % 3))
+                    .map(ItemId)
+                    .collect()
+            })
+            .collect();
+        vec![
+            ("sparse", t10(5), 0.5),
+            ("sparse", t10(5), 1.0),
+            ("sparse", t10(42), 0.5),
+            ("dense", random_db(23, 120, 10, 5), 8.0),
+            ("dense", random_db(4, 250, 12, 6), 5.0),
+            ("dense", quest(QuestParams::dense(1_000, 7)), 10.0),
+            ("dense", quest(QuestParams::dense(1_500, 7)), 20.0),
+            ("dense", quest(QuestParams::tiny(800, 42)), 3.0),
+            ("mixed", quest(QuestParams::tiny(2_000, 42)), 1.5),
+            ("core", HorizontalDb::from_transactions(core), 50.0),
+        ]
+    }
+
     #[test]
-    fn representations_agree_end_to_end() {
-        let db = random_db(23, 120, 10, 5);
-        let minsup = MinSupport::from_percent(8.0);
-        let base = run(
-            &db,
-            minsup,
-            &EclatConfig::default(),
-            &mut OpMeter::new(),
-            &Serial,
-        );
-        for repr in [
-            Representation::Diffset,
-            Representation::AutoSwitch { depth: 1 },
-            Representation::AutoSwitch { depth: 3 },
-            Representation::Bitmap,
-            Representation::AutoDensity { permille: 8 },
-            Representation::AutoDensity { permille: 1000 },
-            Representation::AutoDensity { permille: 0 },
-        ] {
-            let cfg = EclatConfig::with_representation(repr);
-            let fs = run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
-            assert_eq!(fs, base, "{repr:?}");
+    fn every_kernel_matches_the_paper_tidlists() {
+        let bitmaps: ClassKernel =
+            |c, t, cfg, m, out, s| compute_frequent_stats(bitmap_class(c), t, cfg, m, out, s);
+        let diffsets: ClassKernel =
+            |c, t, cfg, m, out, s| compute_frequent_stats(diffset_class(c), t, cfg, m, out, s);
+        let cfg = EclatConfig::default();
+        for (side, db, pct) in kernel_inputs() {
+            let threshold = MinSupport::from_percent(pct).count_threshold(db.num_transactions());
+            let tri = count_pairs(&db, 0..db.num_transactions(), &mut OpMeter::new());
+            let classes = vertical_classes(&db, &frequent_l2(&tri, threshold), &mut OpMeter::new());
+            let n = classes.len();
+            let dense = classes.iter().filter(|c| class_is_dense(c)).count();
+            let expect_dense = match side {
+                "sparse" => 0..=0,
+                "dense" | "core" => n..=n,
+                _ => 1..=n - 1,
+            };
+            assert!(expect_dense.contains(&dense), "{side}: {dense} of {n}");
+            // The paper's tid-lists first, then each kernel under test, with
+            // whether it mines some class on diffsets.
+            let kernels = [
+                (compute_frequent_stats::<TidList> as ClassKernel, false),
+                (compute_class_stats, dense < n),
+                (bitmaps, false),
+                (diffsets, true),
+            ];
+            let mut runs = Vec::new();
+            for (kernel, on_diffsets) in kernels {
+                let m = &mut OpMeter::new();
+                let (got, stats) =
+                    mine_classes_with(classes.clone(), threshold, &cfg, m, &Serial, kernel);
+                // A frequent join below L2 on a diffset class is a switch.
+                let switches: u64 = stats.iter().map(|c| c.kernel.switch_events).sum();
+                assert_eq!(switches > 0, on_diffsets, "{side} {pct}%");
+                // One candidate lattice, walked through the one join loop.
+                let levels: Vec<_> = stats.into_iter().map(|c| c.kernel.levels).collect();
+                runs.push((got, levels, m.tid_cmp));
+            }
+            assert!(runs[0].0.max_size() >= 3, "{side} {pct}% mines below L2");
+            for run in &runs[1..] {
+                assert_eq!((&run.0, &run.1), (&runs[0].0, &runs[0].1), "{side} {pct}%");
+            }
+            // Under a shared core, diffsets stay near-empty while tid-lists
+            // stay long: d-Eclat touches fewer elements.
+            if side == "core" {
+                assert!(runs[3].2 < runs[0].2, "{} vs {}", runs[3].2, runs[0].2);
+            }
         }
     }
 
     #[test]
-    fn gallop_kernel_agrees_with_merge_kernel() {
-        let db = random_db(23, 120, 10, 5);
-        let minsup = MinSupport::from_percent(8.0);
-        let base = run(
-            &db,
-            minsup,
-            &EclatConfig::default(),
-            &mut OpMeter::new(),
-            &Serial,
-        );
-        let cfg = EclatConfig {
-            gallop: true,
-            ..Default::default()
+    fn class_is_dense_at_the_threshold_and_on_an_empty_window() {
+        // One member over tids 0..8000 (125 words): dense exactly when
+        // support · 1000 ≥ DENSE_PERMILLE · 8000.
+        let class_of = |tids: Vec<Vec<u32>>| EquivalenceClass {
+            prefix: Itemset::of(&[0]),
+            members: (1..)
+                .zip(tids)
+                .map(|(b, t)| ClassMember {
+                    itemset: Itemset::of(&[0, b]),
+                    tids: TidList::of(&t),
+                })
+                .collect(),
         };
-        let mut meter = OpMeter::new();
-        assert_eq!(run(&db, minsup, &cfg, &mut meter, &Serial), base);
-        assert!(meter.tid_cmp > 0, "galloping joins must stay metered");
+        let with_support = |n: u64| class_of(vec![(0..n as u32 - 1).chain([7_999]).collect()]);
+        let at = DENSE_PERMILLE * 8;
+        assert!(
+            class_is_dense(&with_support(at)),
+            "exactly at the threshold"
+        );
+        assert!(!class_is_dense(&with_support(at - 1)), "one tid below it");
+        // Members with no tids span a zero-width window: dense, and the
+        // zero-width bitmaps mine to nothing.
+        let empty = class_of(vec![vec![], vec![]]);
+        assert!(class_is_dense(&empty));
+        let (cfg, mut out) = (EclatConfig::default(), FrequentSet::new());
+        compute_class_stats(
+            empty,
+            1,
+            &cfg,
+            &mut OpMeter::new(),
+            &mut out,
+            &mut KernelStats::new(),
+        );
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -608,7 +708,7 @@ mod tests {
         let (fs, stats) = run_stats(&db, minsup, &cfg, &mut meter, &Serial, "sequential");
         assert_eq!(fs, run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial));
         assert_eq!(stats.variant, "sequential");
-        assert_eq!(stats.representation, "tidlist");
+        assert_eq!(stats.representation, LABEL_AUTO);
         assert_eq!(stats.transactions, 150);
         assert_eq!(stats.num_frequent, fs.len() as u64);
         assert_eq!(stats.total_ops, meter);

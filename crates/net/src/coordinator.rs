@@ -186,7 +186,7 @@ pub fn mine_distributed(
         "run {run_id:#x}: coordinating {num_workers} worker(s)"
     );
 
-    let mut stats = MiningStats::new("eclat", VARIANT_DIST, &dist.cfg.representation.to_string());
+    let mut stats = MiningStats::new("eclat", VARIANT_DIST, eclat::pipeline::LABEL_AUTO);
     stats.transactions = db.num_transactions() as u64;
     stats.threshold = u64::from(threshold);
 
@@ -266,7 +266,7 @@ fn drive(
     let span_init = eclat_obs::trace::span(crate::PHASE_INIT);
     let t_init = Instant::now();
     let partition = BlockPartition::equal_blocks(db.num_transactions(), num_workers);
-    let (flags, repr_tag, repr_depth) = encode_config(&dist.cfg, dist.cfg.include_singletons);
+    let flags = encode_config(&dist.cfg, dist.cfg.include_singletons);
     for c in conns.iter_mut() {
         let range = partition.block(c.rank as usize);
         let block_db = HorizontalDb::from_transactions(
@@ -282,8 +282,6 @@ fn drive(
             threshold,
             tid_offset: range.start as u32,
             flags,
-            repr_tag,
-            repr_depth,
             block,
         })?;
     }

@@ -2,8 +2,9 @@
 //!
 //! Every message rides one [`wire`] frame (`len:u32le payload`). The
 //! payload starts with a one-byte opcode followed by the fields below,
-//! all little-endian, decoded strictly (truncation, trailing bytes and
-//! unknown opcodes are errors, never guesses). Opcodes start at `0x10`
+//! all little-endian, decoded strictly (truncation, trailing bytes,
+//! unknown opcodes and unknown `Assign` flag bits are errors, never
+//! guesses). Opcodes start at `0x10`
 //! so no `eclat-net` payload is a valid `assoc-serve` query byte-stream.
 //!
 //! Except for `Hello` (which carries the protocol version precisely so
@@ -12,15 +13,17 @@
 //! the tag that keeps concurrent runs on a shared worker fleet from
 //! cross-talking.
 
-use eclat::{EclatConfig, Representation};
+use eclat::EclatConfig;
 use mining_types::stats::{ClassStats, KernelStats, LevelCounts};
 use mining_types::OpMeter;
 use wire::{Cursor, DecodeError};
 
 /// Version tag carried by `Hello`; bumped on any wire-format change.
 /// Version 2 extended [`WorkerStats`] with per-thread timing and spill
-/// I/O (multi-core + out-of-core workers).
-pub const PROTOCOL_VERSION: u32 = 2;
+/// I/O (multi-core + out-of-core workers); version 3 dropped `Assign`'s
+/// representation fields (workers pick each class's kernel from its
+/// density).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Frame-size ceiling for mining traffic. Tid-list exchanges legitimately
 /// carry tens of megabytes; anything past this is a corrupt length.
@@ -41,14 +44,7 @@ const OP_GOODBYE: u8 = 0x1A;
 const FLAG_SHORT_CIRCUIT: u8 = 1 << 0;
 const FLAG_PRUNE: u8 = 1 << 1;
 const FLAG_COUNT_ITEMS: u8 = 1 << 2;
-const FLAG_GALLOP: u8 = 1 << 3;
-
-const REPR_TIDLIST: u8 = 0;
-const REPR_DIFFSET: u8 = 1;
-const REPR_AUTOSWITCH: u8 = 2;
-const REPR_BITMAP: u8 = 3;
-// The `repr_depth` field carries the density threshold (permille).
-const REPR_AUTODENSITY: u8 = 4;
+const KNOWN_FLAGS: u8 = FLAG_SHORT_CIRCUIT | FLAG_PRUNE | FLAG_COUNT_ITEMS;
 
 /// Per-worker measured statistics returned with [`Message::Result`] —
 /// the real-TCP counterpart of the simulator's per-processor trace. A
@@ -121,10 +117,6 @@ pub enum Message {
         tid_offset: u32,
         /// `FLAG_*` bits of the mining configuration.
         flags: u8,
-        /// Tid-list representation tag (`REPR_*`).
-        repr_tag: u8,
-        /// `AutoSwitch` depth (ignored for other representations).
-        repr_depth: u32,
         /// The horizontal block in `dbstore::binfmt` encoding, carrying
         /// the *global* item universe size.
         block: Vec<u8>,
@@ -202,9 +194,10 @@ pub enum Message {
     },
 }
 
-/// Pack the worker-relevant part of an [`EclatConfig`] for `Assign`.
-/// `count_items` asks the worker to also count singletons locally.
-pub fn encode_config(cfg: &EclatConfig, count_items: bool) -> (u8, u8, u32) {
+/// Pack the worker-relevant part of an [`EclatConfig`] into `Assign`'s
+/// flag byte. `count_items` asks the worker to also count singletons
+/// locally.
+pub fn encode_config(cfg: &EclatConfig, count_items: bool) -> u8 {
     let mut flags = 0u8;
     if cfg.short_circuit {
         flags |= FLAG_SHORT_CIRCUIT;
@@ -215,43 +208,24 @@ pub fn encode_config(cfg: &EclatConfig, count_items: bool) -> (u8, u8, u32) {
     if count_items {
         flags |= FLAG_COUNT_ITEMS;
     }
-    if cfg.gallop {
-        flags |= FLAG_GALLOP;
-    }
-    let (tag, depth) = match cfg.representation {
-        Representation::TidList => (REPR_TIDLIST, 0),
-        Representation::Diffset => (REPR_DIFFSET, 0),
-        Representation::AutoSwitch { depth } => (REPR_AUTOSWITCH, depth),
-        Representation::Bitmap => (REPR_BITMAP, 0),
-        Representation::AutoDensity { permille } => (REPR_AUTODENSITY, permille),
-    };
-    (flags, tag, depth)
+    flags
 }
 
-/// Rebuild the worker-side mining config from `Assign` fields. Returns
-/// the config plus the `count_items` request. Singletons are always
-/// inserted at the coordinator (it holds the summed global counts), so
-/// the reconstructed config never sets `include_singletons`.
-pub fn decode_config(
-    flags: u8,
-    repr_tag: u8,
-    repr_depth: u32,
-) -> Result<(EclatConfig, bool), DecodeError> {
-    let representation = match repr_tag {
-        REPR_TIDLIST => Representation::TidList,
-        REPR_DIFFSET => Representation::Diffset,
-        REPR_AUTOSWITCH => Representation::AutoSwitch { depth: repr_depth },
-        REPR_BITMAP => Representation::Bitmap,
-        REPR_AUTODENSITY => Representation::AutoDensity {
-            permille: repr_depth,
-        },
-        other => return Err(DecodeError::BadOpcode(other)),
-    };
+/// Rebuild the worker-side mining config from `Assign`'s flag byte.
+/// Returns the config plus the `count_items` request. Singletons are
+/// always inserted at the coordinator (it holds the summed global
+/// counts), so the reconstructed config never sets `include_singletons`.
+///
+/// # Errors
+/// [`DecodeError::UnknownFlags`] when any bit outside the known `FLAG_*`
+/// set is on.
+pub fn decode_config(flags: u8) -> Result<(EclatConfig, bool), DecodeError> {
+    if flags & !KNOWN_FLAGS != 0 {
+        return Err(DecodeError::UnknownFlags(flags & !KNOWN_FLAGS));
+    }
     let cfg = EclatConfig {
         short_circuit: flags & FLAG_SHORT_CIRCUIT != 0,
         prune: flags & FLAG_PRUNE != 0,
-        gallop: flags & FLAG_GALLOP != 0,
-        representation,
         ..EclatConfig::default()
     };
     Ok((cfg, flags & FLAG_COUNT_ITEMS != 0))
@@ -475,8 +449,6 @@ impl Message {
                 threshold,
                 tid_offset,
                 flags,
-                repr_tag,
-                repr_depth,
                 block,
             } => {
                 buf.push(OP_ASSIGN);
@@ -484,8 +456,6 @@ impl Message {
                 wire::put_u32(&mut buf, *threshold);
                 wire::put_u32(&mut buf, *tid_offset);
                 buf.push(*flags);
-                buf.push(*repr_tag);
-                wire::put_u32(&mut buf, *repr_depth);
                 wire::put_u32(&mut buf, block.len() as u32);
                 buf.extend_from_slice(block);
             }
@@ -596,8 +566,6 @@ impl Message {
                 let threshold = c.u32()?;
                 let tid_offset = c.u32()?;
                 let flags = c.u8()?;
-                let repr_tag = c.u8()?;
-                let repr_depth = c.u32()?;
                 let blen = c.u32()? as usize;
                 let block = c.take(blen)?.to_vec();
                 Message::Assign {
@@ -605,8 +573,6 @@ impl Message {
                     threshold,
                     tid_offset,
                     flags,
-                    repr_tag,
-                    repr_depth,
                     block,
                 }
             }
@@ -710,8 +676,6 @@ mod tests {
             threshold: 12,
             tid_offset: 1000,
             flags: FLAG_SHORT_CIRCUIT | FLAG_COUNT_ITEMS,
-            repr_tag: REPR_AUTOSWITCH,
-            repr_depth: 3,
             block: vec![1, 2, 3, 4, 5],
         });
         roundtrip(Message::Counts {
@@ -795,27 +759,46 @@ mod tests {
 
     #[test]
     fn config_round_trips_through_flags() {
-        for repr in [
-            Representation::TidList,
-            Representation::Diffset,
-            Representation::AutoSwitch { depth: 4 },
-            Representation::Bitmap,
-            Representation::AutoDensity { permille: 8 },
-        ] {
-            let cfg = EclatConfig {
-                prune: true,
-                gallop: true,
-                ..EclatConfig::with_representation(repr)
-            };
-            let (flags, tag, depth) = encode_config(&cfg, true);
-            let (back, count_items) = decode_config(flags, tag, depth).unwrap();
-            assert!(count_items);
-            assert_eq!(back.representation, cfg.representation);
-            assert_eq!(back.short_circuit, cfg.short_circuit);
-            assert_eq!(back.prune, cfg.prune);
-            assert_eq!(back.gallop, cfg.gallop);
-            assert!(!back.include_singletons, "singletons stay coordinator-side");
+        for flags in 0..=KNOWN_FLAGS {
+            let (cfg, count_items) = decode_config(flags).unwrap();
+            assert_eq!(encode_config(&cfg, count_items), flags);
+            assert!(!cfg.include_singletons, "singletons stay coordinator-side");
         }
-        assert!(decode_config(0, 9, 0).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_bits_are_rejected() {
+        // Every bit outside the known set, alone or beside every known
+        // bit, is named in the error.
+        for bit in (0..8).map(|b| 1u8 << b).filter(|f| KNOWN_FLAGS & f == 0) {
+            for flags in [bit, bit | KNOWN_FLAGS] {
+                let err = decode_config(flags).err();
+                assert_eq!(err, Some(DecodeError::UnknownFlags(bit)), "{flags:#04x}");
+            }
+        }
+        let err = decode_config(0xFF).err();
+        assert_eq!(err, Some(DecodeError::UnknownFlags(!KNOWN_FLAGS)));
+    }
+
+    #[test]
+    fn old_layout_assign_is_rejected() {
+        // Version 2 put a representation tag byte and a u32 depth between
+        // the flags and the block length. Version 3 reads the tag and the
+        // first three depth bytes as a zero block length and is left with
+        // the rest of the message over.
+        let block = [7u8; 5];
+        let mut payload = vec![OP_ASSIGN];
+        wire::put_u64(&mut payload, 7);
+        wire::put_u32(&mut payload, 12);
+        wire::put_u32(&mut payload, 1000);
+        payload.push(FLAG_SHORT_CIRCUIT);
+        payload.push(0); // representation tag: tid-lists
+        wire::put_u32(&mut payload, 0); // autoswitch depth
+        wire::put_u32(&mut payload, block.len() as u32);
+        payload.extend_from_slice(&block);
+        assert_eq!(
+            Message::decode(&payload),
+            Err(DecodeError::TrailingBytes(1 + 4 + block.len()))
+        );
     }
 }

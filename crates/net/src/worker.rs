@@ -648,12 +648,10 @@ impl Session<'_> {
                 threshold,
                 tid_offset,
                 flags,
-                repr_tag,
-                repr_depth,
                 block,
                 ..
             } => {
-                let (cfg, want_items) = crate::proto::decode_config(flags, repr_tag, repr_depth)?;
+                let (cfg, want_items) = crate::proto::decode_config(flags)?;
                 let (db, _) = binfmt::read_horizontal(&mut &block[..])
                     .map_err(|e| NetError::Protocol(format!("bad database block: {e}")))?;
                 (threshold, tid_offset, cfg, want_items, db)

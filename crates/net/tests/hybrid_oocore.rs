@@ -4,8 +4,9 @@
 //! The tentpole claims for the worker-as-host runtime, pinned:
 //!
 //! * `dmine(W x P)` returns exactly the sequential miner's frequent
-//!   set — for every tid-list representation, with spill off (generous
-//!   budget) and with spill forced on every class (budget 0);
+//!   set — on a sparse database (every class mined on
+//!   diffsets) and a dense one (every class on bitmaps), with spill off
+//!   (generous budget) and with spill forced on every class (budget 0);
 //! * a budget-0 run actually moves bytes through the out-of-core store
 //!   and faults every one of them back (`read == written > 0`);
 //! * the measured `cluster` section carries one processor row per
@@ -15,9 +16,10 @@
 //!   schema promises.
 
 use apriori::reference::random_db;
-use eclat::{EclatConfig, Representation};
+use dbstore::HorizontalDb;
 use eclat_net::{mine_distributed, start_worker, DistConfig, WorkerConfig};
 use mining_types::MinSupport;
+use questgen::{QuestGenerator, QuestParams};
 
 fn hybrid_workers(w: usize, p: usize, mem_budget: Option<u64>) -> Vec<eclat_net::WorkerHandle> {
     (0..w)
@@ -37,31 +39,24 @@ fn addrs_of(workers: &[eclat_net::WorkerHandle]) -> Vec<String> {
 }
 
 #[test]
-fn hybrid_and_spilled_runs_match_sequential_across_representations() {
-    let db = random_db(11, 300, 16, 7);
-    let minsup = MinSupport::from_percent(2.0);
-    let representations = [
-        Representation::TidList,
-        Representation::Diffset,
-        Representation::AutoSwitch { depth: 2 },
-        Representation::Bitmap,
-        Representation::AutoDensity { permille: 8 },
-    ];
-    for repr in representations {
-        let cfg = EclatConfig::with_representation(repr);
-        let oracle =
-            eclat::sequential::mine_with(&db, minsup, &cfg, &mut mining_types::OpMeter::new());
+fn hybrid_and_spilled_runs_match_sequential_on_both_kernels() {
+    let sparse = HorizontalDb::from_transactions(
+        QuestGenerator::new(QuestParams::t10_i6(3_000).with_seed(5)).generate_all(),
+    );
+    // The `eclat` pipeline tests pin both inputs to their side of the
+    // per-class kernel choice.
+    let dense = random_db(4, 250, 12, 6);
+    let inputs = [("sparse", sparse, 0.5), ("dense", dense, 5.0)];
+    for (label, db, pct) in inputs {
+        let minsup = MinSupport::from_percent(pct);
+        let oracle = eclat::sequential::mine(&db, minsup);
         for budget in [None, Some(0)] {
             let workers = hybrid_workers(2, 2, budget);
-            let dist_cfg = DistConfig {
-                cfg: cfg.clone(),
-                ..DistConfig::default()
-            };
-            let report = mine_distributed(&db, minsup, &addrs_of(&workers), &dist_cfg)
-                .unwrap_or_else(|e| panic!("{repr:?} budget {budget:?}: {e}"));
+            let report = mine_distributed(&db, minsup, &addrs_of(&workers), &DistConfig::default())
+                .unwrap_or_else(|e| panic!("{label} budget {budget:?}: {e}"));
             assert_eq!(
                 report.frequent, oracle,
-                "{repr:?} budget {budget:?} diverged from sequential"
+                "{label} budget {budget:?} diverged from sequential"
             );
             match budget {
                 // Budget 0: every class spills and every class faults
@@ -69,15 +64,15 @@ fn hybrid_and_spilled_runs_match_sequential_across_representations() {
                 Some(0) => {
                     assert!(
                         report.spill_bytes_written > 0,
-                        "{repr:?}: zero budget must spill"
+                        "{label}: zero budget must spill"
                     );
                     assert_eq!(
                         report.spill_bytes_read, report.spill_bytes_written,
-                        "{repr:?}: every spilled byte is read back exactly once"
+                        "{label}: every spilled byte is read back exactly once"
                     );
                 }
                 _ => {
-                    assert_eq!(report.spill_bytes_written, 0, "{repr:?}: no spill expected");
+                    assert_eq!(report.spill_bytes_written, 0, "{label}: no spill expected");
                     assert_eq!(report.spill_bytes_read, 0);
                 }
             }

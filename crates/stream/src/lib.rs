@@ -23,7 +23,8 @@
 //!
 //! The result after every batch is *exactly* the full re-mine of all
 //! transactions seen so far — the golden replay tests assert
-//! byte-identical snapshots across every representation.
+//! byte-identical snapshots on sparse and dense databases, so on both
+//! sides of the per-class kernel choice.
 
 pub mod engine;
 pub mod stats;

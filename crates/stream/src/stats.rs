@@ -100,7 +100,8 @@ impl BatchStats {
 /// A whole streaming run: configuration plus one record per batch.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamStats {
-    /// Tid-list representation, via its `Display` form.
+    /// Kernel label, as in `MiningStats.representation`: `"auto"` (the
+    /// per-class density choice) for the engine's re-mines.
     pub representation: String,
     /// Requested transactions per batch.
     pub batch_size: u64,
@@ -168,7 +169,7 @@ mod tests {
     #[test]
     fn stream_json_accumulates() {
         let mut s = StreamStats {
-            representation: "tidlist".to_string(),
+            representation: "auto".to_string(),
             batch_size: 10,
             ..StreamStats::default()
         };

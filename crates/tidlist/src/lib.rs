@@ -33,7 +33,12 @@
 //! [`ChunkedList`], the fixed-width bitmap [`BitmapSet`] (word `AND` +
 //! popcount joins for dense classes), and the mid-recursion switching
 //! [`AdaptiveSet`]. The mining recursion in the `eclat` crate is generic
-//! over it, so every algorithm variant can run on any representation.
+//! over it. The miner itself uses three: [`TidList`] (the paper's layout,
+//! for the simulated cluster and as the oracle), and per class either
+//! [`BitmapSet`] (dense classes) or [`AdaptiveSet`] with zero fuel, i.e.
+//! pure diffsets (all others). [`GallopList`], [`ChunkedList`] and
+//! [`AdaptiveSet`] with fuel above zero are on no mining path; the
+//! benchmark's kernel probes and this crate's tests keep them exercised.
 
 pub mod adaptive;
 pub mod bitmap;

@@ -83,6 +83,9 @@ pub enum DecodeError {
     BadOpcode(u8),
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A flag byte had bits on that the format does not define (the
+    /// unknown bits).
+    UnknownFlags(u8),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -92,6 +95,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
             DecodeError::BadOpcode(op) => write!(f, "unknown opcode 0x{op:02x}"),
             DecodeError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
+            DecodeError::UnknownFlags(bits) => write!(f, "unknown flag bits 0x{bits:02x}"),
         }
     }
 }

@@ -51,28 +51,11 @@ fn main() {
             &eclat::Threads::new(0),
         )
     });
-    timed("Eclat (diffsets)", "d-Eclat extension, §9", &mut || {
-        // diffset kernel via the clique-free path
-        let mut m = OpMeter::new();
+    timed("Eclat (tid-lists)", "the paper's §4.2 kernel", &mut || {
+        // Every class on plain tid-lists; the miners above pick bitmaps
+        // or d-Eclat diffsets (§9) per class from its density.
         let cfg = eclat::EclatConfig::default();
-        let threshold = minsup.count_threshold(db.num_transactions());
-        let n = db.num_transactions();
-        let tri = eclat::transform::count_pairs(&db, 0..n, &mut m);
-        let l2: Vec<_> = tri
-            .frequent_pairs(threshold)
-            .map(|(a, b, _)| (a, b))
-            .collect();
-        let idx = eclat::transform::index_pairs(&l2);
-        let lists = eclat::transform::build_pair_tidlists(&db, 0..n, &idx, &mut m);
-        let pairs: Vec<_> = l2.iter().zip(lists).map(|(&(a, b), t)| (a, b, t)).collect();
-        let mut out = FrequentSet::new();
-        for class in eclat::equivalence::classes_of_l2(pairs) {
-            for mem in &class.members {
-                out.insert(mem.itemset.clone(), mem.tids.support());
-            }
-            eclat::diffset_mine::compute_frequent_diff(class, threshold, &cfg, &mut m, &mut out);
-        }
-        out
+        eclat::pipeline::run_tidlist_stats(&db, minsup, &cfg, &mut OpMeter::new()).0
     });
     timed("Clique clustering", "reference [18]", &mut || {
         eclat::clique::mine(&db, minsup)

@@ -66,15 +66,21 @@ cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
     > "$tmpdir/dmine_spill.out"
 diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/dmine_spill.out")
 
-echo "==> dmine --repr bitmap / auto-density == mine (bitmap classes over the wire)"
+echo "==> dmine == mine on both sides of the per-class kernel choice"
+# t10 at 0.25%: every class is below the density threshold (diffsets).
+# t20i6 at 2%: every class is above it, so bitmap classes are mined from
+# tid-lists that crossed the wire.
 cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
-    --support 0.25 --spawn-local 2 --threads 2 --repr bitmap \
-    > "$tmpdir/dmine_bitmap.out"
-diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/dmine_bitmap.out")
-cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
-    --support 0.25 --spawn-local 2 --threads 2 --repr auto-density \
-    > "$tmpdir/dmine_autodensity.out"
-diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/dmine_autodensity.out")
+    --support 0.25 --spawn-local 2 --threads 2 "${whole[@]}" \
+    > "$tmpdir/dmine_sparse_all.out"
+diff <(tail -n +2 "$tmpdir/mine_all.out") <(tail -n +2 "$tmpdir/dmine_sparse_all.out")
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t20.ech" \
+    --support 2 "${whole[@]}" > "$tmpdir/mine_t20_dense_all.out"
+cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t20.ech" \
+    --support 2 --spawn-local 2 --threads 2 "${whole[@]}" \
+    > "$tmpdir/dmine_t20_dense_all.out"
+diff <(tail -n +2 "$tmpdir/mine_t20_dense_all.out") \
+    <(tail -n +2 "$tmpdir/dmine_t20_dense_all.out")
 
 echo "==> dmine --trace: merged cluster timeline validates + converts to Chrome JSON"
 cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \

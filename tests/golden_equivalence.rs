@@ -1,19 +1,56 @@
 //! The workspace's golden invariant: **every** miner produces the
 //! identical frequent itemsets with identical supports on the same input.
 //!
-//! Algorithms covered: sequential Apriori, sequential Eclat, d-Eclat
-//! (diffsets), thread-parallel Eclat, cluster Eclat, hybrid Eclat, Count
+//! Algorithms covered: sequential Apriori, sequential Eclat (each class
+//! on bitmaps or diffsets by density), the paper's tid-list kernel,
+//! thread-parallel Eclat, cluster Eclat, hybrid Eclat, Count
 //! Distribution, and Candidate Distribution — on realistic Quest data,
 //! not just toy matrices.
 
 use dbstore::HorizontalDb;
-use eclat::EclatConfig;
+use eclat::{pipeline, EclatConfig};
 use memchannel::{ClusterConfig, CostModel};
 use mining_types::{FrequentSet, MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
 
 fn quest_db(d: usize, seed: u64) -> HorizontalDb {
     HorizontalDb::from_transactions(QuestGenerator::new(QuestParams::tiny(d, seed)).generate_all())
+}
+
+/// The paper's tid-list kernel — the reference the per-class density
+/// choice must reproduce.
+fn paper_kernel(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+    pipeline::run_tidlist_stats(db, minsup, &EclatConfig::default(), &mut OpMeter::new()).0
+}
+
+/// Every measured Eclat path — sequential, parallel, clique — must equal
+/// the paper's tid-list kernel and Apriori, as must the simulated
+/// cluster and hybrid variants.
+fn assert_every_eclat_path_agrees(label: &str, db: &HorizontalDb, minsup: MinSupport) {
+    let paper = paper_kernel(db, minsup);
+    assert!(paper.max_size() >= 3, "{label}: mine below L2");
+    let (cfg, m) = (EclatConfig::default(), &mut OpMeter::new());
+    let (cost, topo) = (CostModel::dec_alpha_1997(), ClusterConfig::new(2, 2));
+    let threads = eclat::Threads::new(0);
+    for (name, got) in [
+        ("apriori", strip_singletons(&apriori::mine(db, minsup))),
+        (
+            "sequential",
+            eclat::sequential::mine_with(db, minsup, &cfg, m),
+        ),
+        ("parallel", pipeline::run(db, minsup, &cfg, m, &threads)),
+        ("clique", eclat::clique::mine_with(db, minsup, &cfg, m)),
+        (
+            "cluster",
+            eclat::cluster::mine_cluster(db, minsup, &topo, &cost, &cfg).frequent,
+        ),
+        (
+            "hybrid",
+            eclat::hybrid::mine_hybrid(db, minsup, &topo, &cost, &cfg).frequent,
+        ),
+    ] {
+        assert_eq!(got, paper, "{label} {name}");
+    }
 }
 
 fn strip_singletons(fs: &FrequentSet) -> FrequentSet {
@@ -117,119 +154,37 @@ fn every_topology_and_heuristic_agrees() {
     }
 }
 
+/// Small Quest samples straddle the density threshold: some classes
+/// mine on bitmaps, the rest on diffsets, within one run (the `eclat`
+/// pipeline tests pin this input as mixed).
 #[test]
 fn every_representation_agrees_on_quest_data() {
-    use eclat::Representation;
     let db = quest_db(2_000, 42);
     let minsup = MinSupport::from_percent(1.5);
-    let cost = CostModel::dec_alpha_1997();
-    let topo = ClusterConfig::new(2, 2);
-    let reference = eclat::sequential::mine(&db, minsup);
-    assert!(!reference.is_empty());
-    for repr in [
-        Representation::TidList,
-        Representation::Diffset,
-        Representation::AutoSwitch { depth: 1 },
-        Representation::AutoSwitch { depth: 3 },
-        Representation::Bitmap,
-        Representation::AutoDensity { permille: 8 },
-        // Extremes force the pure-chunked and pure-bitmap arms.
-        Representation::AutoDensity { permille: 0 },
-        Representation::AutoDensity { permille: 1000 },
-    ] {
-        let cfg = EclatConfig::with_representation(repr);
-        let mut meter = OpMeter::new();
-        assert_eq!(
-            eclat::sequential::mine_with(&db, minsup, &cfg, &mut meter),
-            reference,
-            "sequential {repr:?}"
-        );
-        assert_eq!(
-            eclat::pipeline::run(
-                &db,
-                minsup,
-                &cfg,
-                &mut OpMeter::new(),
-                &eclat::Threads::new(0)
-            ),
-            reference,
-            "parallel {repr:?}"
-        );
-        assert_eq!(
-            eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &cfg).frequent,
-            reference,
-            "cluster {repr:?}"
-        );
-        assert_eq!(
-            eclat::hybrid::mine_hybrid(&db, minsup, &topo, &cost, &cfg).frequent,
-            reference,
-            "hybrid {repr:?}"
-        );
-        assert_eq!(
-            eclat::clique::mine_with(&db, minsup, &cfg, &mut OpMeter::new()),
-            reference,
-            "clique {repr:?}"
-        );
-    }
+    assert_every_eclat_path_agrees("quest", &db, minsup);
 }
 
-/// The same representation matrix on a *dense* synthetic database — the
-/// regime the bitmap representation targets, where auto-density actually
-/// selects bitmaps (on sparse Quest data it stays on chunked lists).
+/// A dense database (every class on bitmaps) and a sparse T10.I6 sample
+/// (every class on diffsets): each side of the per-class choice on its
+/// own, as the `eclat` pipeline tests pin.
 #[test]
 fn every_representation_agrees_on_dense_data() {
-    use eclat::Representation;
-    let db = HorizontalDb::from_transactions(
+    let dense = HorizontalDb::from_transactions(
         QuestGenerator::new(QuestParams::dense(1_500, 7)).generate_all(),
     );
-    let minsup = MinSupport::from_percent(20.0);
-    let cost = CostModel::dec_alpha_1997();
-    let topo = ClusterConfig::new(2, 2);
-    let reference = eclat::sequential::mine(&db, minsup);
-    assert!(!reference.is_empty());
-    for repr in [
-        Representation::Diffset,
-        Representation::AutoSwitch { depth: 2 },
-        Representation::Bitmap,
-        Representation::AutoDensity { permille: 8 },
-        Representation::AutoDensity { permille: 1000 },
-    ] {
-        let cfg = EclatConfig::with_representation(repr);
-        assert_eq!(
-            eclat::sequential::mine_with(&db, minsup, &cfg, &mut OpMeter::new()),
-            reference,
-            "sequential {repr:?}"
-        );
-        assert_eq!(
-            eclat::pipeline::run(
-                &db,
-                minsup,
-                &cfg,
-                &mut OpMeter::new(),
-                &eclat::Threads::new(0)
-            ),
-            reference,
-            "parallel {repr:?}"
-        );
-        assert_eq!(
-            eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &cfg).frequent,
-            reference,
-            "cluster {repr:?}"
-        );
-        assert_eq!(
-            eclat::hybrid::mine_hybrid(&db, minsup, &topo, &cost, &cfg).frequent,
-            reference,
-            "hybrid {repr:?}"
-        );
+    let sparse = HorizontalDb::from_transactions(
+        QuestGenerator::new(QuestParams::t10_i6(3_000).with_seed(5)).generate_all(),
+    );
+    for (label, db, pct) in [("dense", dense, 20.0), ("sparse", sparse, 0.5)] {
+        assert_every_eclat_path_agrees(label, &db, MinSupport::from_percent(pct));
     }
 }
 
 #[test]
 fn maximal_mining_agrees_across_representations() {
-    use eclat::Representation;
-    let minsup = MinSupport::from_percent(1.5);
     // A dense database (8-item core present in every transaction) forces
-    // deep look-aheads; the Quest data exercises the sparse regime.
+    // deep look-aheads on bitmaps; the Quest data mixes bitmap and
+    // diffset classes; the T10.I6 sample is diffsets only.
     let dense = HorizontalDb::from_transactions(
         (0..200u32)
             .map(|i| {
@@ -239,20 +194,24 @@ fn maximal_mining_agrees_across_representations() {
             })
             .collect::<Vec<_>>(),
     );
-    for (label, db) in [("quest", quest_db(2_000, 42)), ("dense", dense)] {
-        let reference = eclat::maximal::maximal_of(&eclat::sequential::mine(&db, minsup));
+    let sparse = HorizontalDb::from_transactions(
+        QuestGenerator::new(QuestParams::t10_i6(3_000).with_seed(5)).generate_all(),
+    );
+    for (label, db, pct) in [
+        ("quest", quest_db(2_000, 42), 1.5),
+        ("dense", dense, 1.5),
+        ("sparse", sparse, 0.5),
+    ] {
+        let minsup = MinSupport::from_percent(pct);
+        let reference = eclat::maximal::maximal_of(&paper_kernel(&db, minsup));
         assert!(!reference.is_empty(), "{label}");
-        for repr in [
-            Representation::TidList,
-            Representation::Diffset,
-            Representation::AutoSwitch { depth: 0 },
-            Representation::AutoSwitch { depth: 2 },
-            Representation::Bitmap,
-            Representation::AutoDensity { permille: 8 },
-        ] {
-            let cfg = EclatConfig::with_representation(repr);
+        for short_circuit in [true, false] {
+            let cfg = EclatConfig {
+                short_circuit,
+                ..Default::default()
+            };
             let got = eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new());
-            assert_eq!(got, reference, "{label} {repr:?}");
+            assert_eq!(got, reference, "{label} sc {short_circuit}");
         }
     }
 }

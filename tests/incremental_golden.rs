@@ -1,28 +1,38 @@
 //! Golden replay harness for the incremental mining engine: streaming a
 //! database batch-by-batch through [`eclat_stream::StreamEngine`] must
 //! leave *exactly* the state a full re-mine of the prefix produces —
-//! same itemsets, same supports, same rules — after **every** batch, for
-//! every tid-set representation. Equality is checked on the serialized
+//! same itemsets, same supports, same rules — after **every** batch, on
+//! sparse data (every class re-mined on diffsets) and dense data (every
+//! class on bitmaps). Equality is checked on the serialized
 //! results snapshot (generation equalized), so the two paths are pinned
 //! byte for byte all the way through the storage layer.
 
 use dbstore::{binfmt, HorizontalDb};
 use eclat::pipeline::{Serial, Threads};
-use eclat::{EclatConfig, Representation};
+use eclat::EclatConfig;
 use eclat_stream::{MinedState, StreamEngine};
 use mining_types::{ItemId, MinSupport};
 use proptest::prelude::*;
 use questgen::{QuestGenerator, QuestParams};
 
-const ALL_REPRESENTATIONS: [Representation; 5] = [
-    Representation::TidList,
-    Representation::Diffset,
-    Representation::AutoSwitch { depth: 2 },
-    Representation::Bitmap,
-    Representation::AutoDensity {
-        permille: eclat::DEFAULT_DENSITY_PERMILLE,
-    },
-];
+/// `(side, transactions, minsup)`: a T10.I6 sample whose classes are all
+/// below the density threshold at 1% (diffsets) and a tiny Quest sample
+/// whose classes are all above it at 3% (bitmaps); the `eclat` pipeline
+/// tests pin both sides.
+fn sparse_and_dense() -> [(&'static str, Vec<Vec<ItemId>>, MinSupport); 2] {
+    [
+        (
+            "sparse",
+            QuestGenerator::new(QuestParams::t10_i6(3_000).with_seed(5)).generate_all(),
+            MinSupport::from_percent(1.0),
+        ),
+        (
+            "dense",
+            QuestGenerator::new(QuestParams::tiny(800, 42)).generate_all(),
+            MinSupport::from_percent(3.0),
+        ),
+    ]
+}
 
 /// Serialize a mined state with its generation forced to zero, so
 /// incremental and from-scratch states compare on content alone (the
@@ -43,11 +53,10 @@ fn assert_replay_matches_full(
     splits: &[usize],
     minsup: MinSupport,
     confidence: f64,
-    repr: Representation,
     threads: &Threads,
 ) -> usize {
     assert!(splits.iter().all(|&k| k > 0));
-    let cfg = EclatConfig::with_representation(repr);
+    let cfg = EclatConfig::default();
     let num_items = txns
         .iter()
         .flat_map(|t| t.iter().map(|i| i.0 + 1))
@@ -61,7 +70,7 @@ fn assert_replay_matches_full(
         let stats = engine.ingest_batch(&txns[at..end], threads);
         assert!(
             stats.classes_dirty <= stats.dirty_bound,
-            "{repr:?}: pair-granular dirty set exceeded the item-granular bound"
+            "pair-granular dirty set exceeded the item-granular bound"
         );
         at = end;
         batches += 1;
@@ -71,37 +80,30 @@ fn assert_replay_matches_full(
         assert_eq!(
             engine.state().frequent,
             full.frequent,
-            "{repr:?}: frequent sets diverged after batch {batches} ({at} txns)"
+            "frequent sets diverged after batch {batches} ({at} txns)"
         );
         assert_eq!(
             engine.state().rules,
             full.rules,
-            "{repr:?}: rules diverged after batch {batches}"
+            "rules diverged after batch {batches}"
         );
         assert_eq!(
             snapshot_bytes(engine.state()),
             snapshot_bytes(&full),
-            "{repr:?}: serialized snapshots diverged after batch {batches}"
+            "serialized snapshots diverged after batch {batches}"
         );
     }
     batches
 }
 
-/// The deterministic golden stream: a questgen database replayed in K
-/// batches, checked after every batch, across all five representations.
+/// The deterministic golden stream: a sparse and a dense questgen
+/// database, each replayed in 4 batches and checked after every batch.
 #[test]
 fn replay_matches_full_remine_across_representations() {
-    let txns = QuestGenerator::new(QuestParams::tiny(800, 42)).generate_all();
-    for repr in ALL_REPRESENTATIONS {
-        let batches = assert_replay_matches_full(
-            &txns,
-            &[200],
-            MinSupport::from_percent(3.0),
-            0.5,
-            repr,
-            &Serial,
-        );
-        assert_eq!(batches, 4);
+    for (side, txns, minsup) in sparse_and_dense() {
+        let batch = txns.len() / 4;
+        let batches = assert_replay_matches_full(&txns, &[batch], minsup, 0.5, &Serial);
+        assert_eq!(batches, 4, "{side}");
     }
 }
 
@@ -113,27 +115,30 @@ fn replay_matches_full_remine_across_representations() {
 #[test]
 fn replay_survives_border_crossings_both_directions() {
     let txns = QuestGenerator::new(QuestParams::tiny(800, 1097)).generate_all();
-    for repr in ALL_REPRESENTATIONS {
-        assert_replay_matches_full(
-            &txns,
-            &[200, 50, 350, 120],
-            MinSupport::from_percent(25.0),
-            0.3,
-            repr,
-            &Serial,
-        );
-    }
+    assert_replay_matches_full(
+        &txns,
+        &[200, 50, 350, 120],
+        MinSupport::from_percent(25.0),
+        0.3,
+        &Serial,
+    );
 }
 
 /// The re-mine phase runs on the same `Threads` executor as the batch
-/// pipeline — every thread count must replay identically.
+/// pipeline — every thread count must replay identically, on both sides
+/// of the kernel choice.
 #[test]
 fn replay_is_policy_independent() {
-    let txns = QuestGenerator::new(QuestParams::tiny(600, 7)).generate_all();
-    let minsup = MinSupport::from_percent(1.5);
-    for p in [1, 2, 3, 8] {
-        for repr in [Representation::TidList, Representation::Diffset] {
-            assert_replay_matches_full(&txns, &[150], minsup, 0.5, repr, &Threads::new(p));
+    for (side, txns, minsup) in sparse_and_dense() {
+        for p in [1, 2, 3, 8] {
+            let batches = assert_replay_matches_full(
+                &txns,
+                &[txns.len().div_ceil(3)],
+                minsup,
+                0.5,
+                &Threads::new(p),
+            );
+            assert_eq!(batches, 3, "{side} P={p}");
         }
     }
 }
@@ -144,14 +149,13 @@ proptest! {
     /// Arbitrary databases, arbitrary batch splits, and a support
     /// fraction high enough that the absolute threshold moves with
     /// nearly every batch — border crossings in both directions are the
-    /// norm here, not the exception. Every representation takes a turn.
+    /// norm here, not the exception.
     #[test]
     fn incremental_equals_full_for_arbitrary_splits(
         raw in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..6), 1..40),
         splits in proptest::collection::vec(1usize..8, 1..6),
         pct in 5.0f64..60.0,
         conf in 0.1f64..0.9,
-        repr_ix in 0usize..5,
     ) {
         let txns: Vec<Vec<ItemId>> = raw
             .into_iter()
@@ -162,7 +166,6 @@ proptest! {
             &splits,
             MinSupport::from_percent(pct),
             conf,
-            ALL_REPRESENTATIONS[repr_ix],
             &Serial,
         );
     }

@@ -1,10 +1,11 @@
 //! Property-based cross-algorithm checks on arbitrary small databases:
 //! brute force == Apriori == Eclat (seq, parallel, cluster) for any input
-//! and any support.
+//! and any support, on dense databases (bitmap classes) and sparse ones
+//! (diffset classes).
 
 use apriori::reference::brute_force;
 use dbstore::HorizontalDb;
-use eclat::{EclatConfig, Representation};
+use eclat::{pipeline, EclatConfig};
 use memchannel::{ClusterConfig, CostModel};
 use mining_types::{FrequentSet, ItemId, MinSupport, OpMeter};
 use proptest::prelude::*;
@@ -18,6 +19,37 @@ fn arb_db() -> impl Strategy<Value = HorizontalDb> {
             .collect();
         HorizontalDb::from_transactions(txns).with_num_items(12)
     })
+}
+
+/// Sparse databases: hundreds of short transactions over 14 items, with
+/// one planted 4-item basket in every 100th so triples and quads reach
+/// the 0.8% support. Their classes sit mostly below the density threshold
+/// (diffsets), where [`arb_db`]'s small databases are all dense
+/// (bitmaps). 14 items keep the brute-force oracle affordable.
+fn arb_sparse_db() -> impl Strategy<Value = HorizontalDb> {
+    (
+        proptest::collection::vec(proptest::collection::vec(0u32..14, 1..3), 200..400),
+        0u32..10,
+    )
+        .prop_map(|(raw, base)| {
+            let txns: Vec<Vec<ItemId>> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, mut t)| {
+                    if i % 100 == 0 {
+                        t.extend([base, base + 1, base + 2, base + 4]);
+                    }
+                    t.into_iter().map(ItemId).collect()
+                })
+                .collect();
+            HorizontalDb::from_transactions(txns).with_num_items(14)
+        })
+}
+
+/// The paper's tid-list kernel — the reference for the per-class
+/// density choice.
+fn paper_kernel(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+    pipeline::run_tidlist_stats(db, minsup, &EclatConfig::default(), &mut OpMeter::new()).0
 }
 
 fn strip_singletons(fs: &FrequentSet) -> FrequentSet {
@@ -65,57 +97,40 @@ proptest! {
     }
 
     #[test]
-    fn representations_match_tidlist_eclat(db in arb_db(), pct in 2.0f64..60.0, depth in 0u32..4) {
-        // Golden equivalence across the Representation knob: diffsets,
-        // the depth-switching AdaptiveSet, bitmaps, and the density
-        // selector must reproduce the tid-list result exactly, on every
-        // execution variant. `depth * 250` doubles as a permille sweep
-        // (0, 250, 500, 750) so auto-density hits mixed splits.
-        let minsup = MinSupport::from_percent(pct);
-        let reference = eclat::sequential::mine(&db, minsup);
-        let topo = ClusterConfig::new(2, 2);
-        let cost = CostModel::dec_alpha_1997();
-        for repr in [
-            Representation::Diffset,
-            Representation::AutoSwitch { depth },
-            Representation::Bitmap,
-            Representation::AutoDensity { permille: depth * 250 },
-        ] {
-            let cfg = EclatConfig::with_representation(repr);
+    fn representations_match_tidlist_eclat(db in arb_db(), sparse in arb_sparse_db(), pct in 2.0f64..60.0) {
+        // Golden equivalence for the per-class kernel choice: on dense
+        // databases (bitmap classes) and sparse ones (diffset classes),
+        // every measured path must reproduce the paper's tid-list
+        // kernel, which must match brute force.
+        for (db, minsup) in [(db, MinSupport::from_percent(pct)), (sparse, MinSupport::from_percent(0.8))] {
+            let reference = paper_kernel(&db, minsup);
+            let truth = brute_force(&db, minsup);
+            prop_assert_eq!(&reference, &strip_singletons(&truth));
+            prop_assert_eq!(&apriori::mine(&db, minsup), &truth);
+            let cfg = EclatConfig::default();
             let seq = eclat::sequential::mine_with(&db, minsup, &cfg, &mut OpMeter::new());
-            prop_assert_eq!(&seq, &reference, "sequential {:?}", repr);
+            prop_assert_eq!(&seq, &reference, "sequential");
             let par = eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &eclat::Threads::new(0));
-            prop_assert_eq!(&par, &reference, "parallel {:?}", repr);
-            let cl = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &cfg);
-            prop_assert_eq!(&cl.frequent, &reference, "cluster {:?}", repr);
-            let hy = eclat::hybrid::mine_hybrid(&db, minsup, &topo, &cost, &cfg);
-            prop_assert_eq!(&hy.frequent, &reference, "hybrid {:?}", repr);
+            prop_assert_eq!(&par, &reference, "parallel");
             let cq = eclat::clique::mine_with(&db, minsup, &cfg, &mut OpMeter::new());
-            prop_assert_eq!(&cq, &reference, "clique {:?}", repr);
+            prop_assert_eq!(&cq, &reference, "clique");
         }
     }
 
     #[test]
-    fn maximal_matches_oracle(db in arb_db(), pct in 2.0f64..60.0, depth in 0u32..4) {
-        // MaxEclat's representation-aware look-ahead must equal the
-        // subsumption filter over the full frequent set, for every
-        // TidSet representation and with the short-circuit both on/off.
-        let minsup = MinSupport::from_percent(pct);
-        let oracle = eclat::maximal::maximal_of(&eclat::sequential::mine(&db, minsup));
-        for repr in [
-            Representation::TidList,
-            Representation::Diffset,
-            Representation::AutoSwitch { depth },
-            Representation::Bitmap,
-            Representation::AutoDensity { permille: depth * 250 },
-        ] {
+    fn maximal_matches_oracle(db in arb_db(), sparse in arb_sparse_db(), pct in 2.0f64..60.0) {
+        // MaxEclat's look-ahead on bitmap or diffset classes must equal
+        // the subsumption filter over the paper kernel's full frequent
+        // set, with the short-circuit both on and off.
+        for (db, minsup) in [(db, MinSupport::from_percent(pct)), (sparse, MinSupport::from_percent(0.8))] {
+            let oracle = eclat::maximal::maximal_of(&paper_kernel(&db, minsup));
             for short_circuit in [true, false] {
                 let cfg = EclatConfig {
                     short_circuit,
-                    ..EclatConfig::with_representation(repr)
+                    ..Default::default()
                 };
                 let got = eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new());
-                prop_assert_eq!(&got, &oracle, "{:?} sc={}", repr, short_circuit);
+                prop_assert_eq!(&got, &oracle, "sc={}", short_circuit);
             }
         }
     }
