@@ -175,7 +175,15 @@ mod tests {
             .filter(|(is, _)| is.len() >= 2)
             .map(|(is, s)| (is.clone(), s))
             .collect();
-        assert_eq!(ec, eclat::sequential::mine(&db, minsup));
+        let cfg = eclat::EclatConfig::default();
+        let reference = eclat::pipeline::run(
+            &db,
+            minsup,
+            &cfg,
+            &mut OpMeter::new(),
+            &eclat::pipeline::Serial,
+        );
+        assert_eq!(ec, reference);
     }
 
     #[test]

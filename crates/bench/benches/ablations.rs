@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbstore::HorizontalDb;
+use eclat::pipeline::Serial;
 use eclat::EclatConfig;
 use mining_types::{MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
@@ -26,7 +27,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             let mut m = OpMeter::new();
             black_box(
-                eclat::sequential::mine_with(&db, minsup, &EclatConfig::default(), &mut m).len(),
+                eclat::pipeline::run(&db, minsup, &EclatConfig::default(), &mut m, &Serial).len(),
             )
         })
     });
@@ -37,7 +38,7 @@ fn bench_ablations(c: &mut Criterion) {
         };
         b.iter(|| {
             let mut m = OpMeter::new();
-            black_box(eclat::sequential::mine_with(&db, minsup, &cfg, &mut m).len())
+            black_box(eclat::pipeline::run(&db, minsup, &cfg, &mut m, &Serial).len())
         })
     });
     group.bench_function("eclat_prune_on", |b| {
@@ -47,7 +48,7 @@ fn bench_ablations(c: &mut Criterion) {
         };
         b.iter(|| {
             let mut m = OpMeter::new();
-            black_box(eclat::sequential::mine_with(&db, minsup, &cfg, &mut m).len())
+            black_box(eclat::pipeline::run(&db, minsup, &cfg, &mut m, &Serial).len())
         })
     });
     group.bench_function("repr_tidlist", |b| {
@@ -65,21 +66,36 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             let mut m = OpMeter::new();
             black_box(
-                eclat::sequential::mine_with(&db, minsup, &EclatConfig::default(), &mut m).len(),
+                eclat::pipeline::run(&db, minsup, &EclatConfig::default(), &mut m, &Serial).len(),
             )
         })
     });
     group.bench_function("clique_clustering", |b| {
         b.iter(|| {
             let mut m = OpMeter::new();
-            black_box(eclat::clique::mine_with(&db, minsup, &EclatConfig::default(), &mut m).len())
+            black_box(
+                eclat::clique::mine(
+                    &db,
+                    minsup,
+                    &EclatConfig::default(),
+                    &mut m,
+                    &Serial,
+                    "sequential",
+                )
+                .0
+                .len(),
+            )
         })
     });
     group.bench_function("maxeclat", |b| {
         b.iter(|| {
             let mut m = OpMeter::new();
             let cfg = EclatConfig::default();
-            black_box(eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut m).len())
+            black_box(
+                eclat::maximal::mine(&db, minsup, &cfg, &mut m, &Serial, "sequential")
+                    .0
+                    .len(),
+            )
         })
     });
     group.finish();

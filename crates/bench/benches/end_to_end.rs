@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbstore::HorizontalDb;
+use eclat::pipeline::Serial;
 use eclat::EclatConfig;
 use mining_types::{MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
@@ -21,7 +22,18 @@ fn bench_miners(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end/t10_i6_d20k");
     group.sample_size(10);
     group.bench_function("eclat_sequential", |bench| {
-        bench.iter(|| black_box(eclat::sequential::mine(&db, minsup).len()))
+        bench.iter(|| {
+            black_box(
+                eclat::pipeline::run(
+                    &db,
+                    minsup,
+                    &EclatConfig::default(),
+                    &mut OpMeter::new(),
+                    &Serial,
+                )
+                .len(),
+            )
+        })
     });
     group.bench_function("eclat_parallel", |bench| {
         bench.iter(|| {
@@ -47,7 +59,7 @@ fn bench_miners(c: &mut Criterion) {
                 short_circuit: false,
                 ..Default::default()
             };
-            black_box(eclat::sequential::mine_with(&db, minsup, &cfg, &mut m).len())
+            black_box(eclat::pipeline::run(&db, minsup, &cfg, &mut m, &Serial).len())
         })
     });
     group.finish();

@@ -13,6 +13,7 @@
 //! ```
 
 use dbstore::HorizontalDb;
+use eclat::pipeline::Serial;
 use eclat::{EclatConfig, ScheduleHeuristic};
 use memchannel::{ClusterConfig, CostModel};
 use mining_types::json::{Arr, Obj};
@@ -48,7 +49,7 @@ fn main() {
                 short_circuit: sc,
                 ..Default::default()
             };
-            let fs = eclat::sequential::mine_with(&db, minsup, &cfg, &mut m);
+            let fs = eclat::pipeline::run(&db, minsup, &cfg, &mut m, &Serial);
             (fs.len(), m.tid_cmp)
         };
         let (n_on, cmp_on) = run(true);
@@ -120,7 +121,7 @@ fn main() {
                 prune,
                 ..Default::default()
             };
-            eclat::sequential::mine_with(&db, minsup, &cfg, &mut m);
+            eclat::pipeline::run(&db, minsup, &cfg, &mut m, &Serial);
             m
         };
         let m_off = run(false);
@@ -225,7 +226,8 @@ fn main() {
         let mut m_ref = OpMeter::new();
         let (fs_ref, stats_ref) = eclat::pipeline::run_tidlist_stats(&db, minsup, &cfg, &mut m_ref);
         let mut m = OpMeter::new();
-        let (fs, stats) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut m);
+        let (fs, stats) =
+            eclat::pipeline::run_stats(&db, minsup, &cfg, &mut m, &Serial, "sequential");
         assert_eq!(fs, fs_ref);
         let mut jrows = Arr::new();
         for (label, stats, m) in [("tid-lists:", &stats_ref, &m_ref), ("auto:", &stats, &m)] {
@@ -264,7 +266,7 @@ fn main() {
             for label in ["tidlist", "auto"] {
                 let mine = |m: &mut OpMeter| match label {
                     "tidlist" => eclat::pipeline::run_tidlist_stats(&ddb, dsup, &cfg, m),
-                    _ => eclat::sequential::mine_stats(&ddb, dsup, &cfg, m),
+                    _ => eclat::pipeline::run_stats(&ddb, dsup, &cfg, m, &Serial, "sequential"),
                 };
                 // Warm once, then time the measured run.
                 mine(&mut OpMeter::new());
@@ -321,11 +323,12 @@ fn main() {
     // ---------- bonus: maximal mining ----------
     {
         println!("\nEXT maximal mining (MaxEclat) on the per-class bitmap/diffset choice");
-        let oracle = eclat::maximal::maximal_of(&eclat::sequential::mine(&db, minsup));
+        let cfg = EclatConfig::default();
+        let full = eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
+        let oracle = eclat::maximal::maximal_of(&full);
         let mut jrows = Arr::new();
         let mut m = OpMeter::new();
-        let (fs, stats) =
-            eclat::maximal::mine_maximal_stats(&db, minsup, &EclatConfig::default(), &mut m);
+        let (fs, stats) = eclat::maximal::mine(&db, minsup, &cfg, &mut m, &Serial, "sequential");
         assert_eq!(fs, oracle);
         let k = stats.kernel_totals();
         println!(
@@ -352,11 +355,12 @@ fn main() {
         println!("EXT tracing overhead — disabled fast path vs armed rings");
         let mine_secs = || {
             let t = std::time::Instant::now();
-            let fs = eclat::sequential::mine_with(
+            let fs = eclat::pipeline::run(
                 &db,
                 minsup,
                 &EclatConfig::default(),
                 &mut OpMeter::new(),
+                &Serial,
             );
             (t.elapsed().as_secs_f64(), fs.len())
         };

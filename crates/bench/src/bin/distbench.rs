@@ -33,9 +33,11 @@
 //! `eclat simulate --stats=json` one — the sim-vs-real Table 2 story.
 
 use dbstore::HorizontalDb;
+use eclat::pipeline::Serial;
+use eclat::EclatConfig;
 use eclat_net::{mine_distributed, start_worker, DistConfig, WorkerConfig};
 use mining_types::json::{Arr, Obj};
-use mining_types::MinSupport;
+use mining_types::{MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
 use repro_bench::{row, Args};
 use std::time::Instant;
@@ -95,7 +97,8 @@ fn main() {
 
     eprintln!("[distbench] sequential oracle at {support}% ...");
     let t0 = Instant::now();
-    let oracle = eclat::sequential::mine(&db, minsup);
+    let cfg = EclatConfig::default();
+    let oracle = eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
     let seq_secs = t0.elapsed().as_secs_f64();
     println!(
         "distbench: {name} @ {support}% — {} frequent itemsets, sequential {seq_secs:.3}s",

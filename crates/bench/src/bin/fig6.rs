@@ -6,7 +6,9 @@
 //! ```
 
 use dbstore::HorizontalDb;
-use mining_types::MinSupport;
+use eclat::pipeline::Serial;
+use eclat::EclatConfig;
+use mining_types::{MinSupport, OpMeter};
 use questgen::QuestGenerator;
 use repro_bench::Args;
 
@@ -24,7 +26,8 @@ fn main() {
         let db = HorizontalDb::from_transactions(txns);
         eprintln!("[fig6] mining {name} ...");
         let t0 = std::time::Instant::now();
-        let fs = eclat::sequential::mine(&db, minsup);
+        let cfg = EclatConfig::default();
+        let fs = eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
         let counts = fs.counts_by_size();
         println!("{name}  (mined in {:.1}s wall)", t0.elapsed().as_secs_f64());
         println!("  k : count");

@@ -29,6 +29,7 @@
 
 use assoc_serve::{Client, Dataset, ServerConfig, Store, StoreConfig};
 use dbstore::HorizontalDb;
+use eclat::pipeline::Serial;
 use mining_types::json::{parse, Arr, Obj, Value};
 use mining_types::{Itemset, MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
@@ -200,11 +201,12 @@ fn main() {
             eprintln!("[servload] generating {} ...", params.name());
             let db = HorizontalDb::from_transactions(QuestGenerator::new(params).generate_all());
             eprintln!("[servload] mining at {}% ...", cfg.support_percent);
-            let frequent = eclat::sequential::mine_with(
+            let frequent = eclat::pipeline::run(
                 &db,
                 MinSupport::from_percent(cfg.support_percent),
                 &eclat::EclatConfig::with_singletons(),
                 &mut OpMeter::new(),
+                &Serial,
             );
             let rules = assoc_rules::generate(&frequent, cfg.confidence);
             let dataset = Dataset {

@@ -15,9 +15,10 @@
 //! threshold and on d-Eclat diffsets otherwise; `simulate` mines the
 //! paper's tid-lists. There is no representation flag: `mine`, `dmine`,
 //! `stream` and `simulate` reject the two removed spellings with an
-//! error naming what replaced them. `--maximal` (MaxEclat) with
-//! `--stats[=json]` emits an `"algorithm":"maxeclat"` report including
-//! look-ahead switch events.
+//! error naming what replaced them. Every algorithm but apriori (which
+//! has no stats report and no `--maximal`) is a per-class kernel of the
+//! one three-phase driver, and all of them print the itemsets of size
+//! ≥ 2, so their reports match after the headline.
 //!
 //! ```text
 //! eclat rules    --input data.ech --support 0.5 --confidence 0.8 [--top N]
@@ -102,7 +103,9 @@ use common::{
     StatsMode,
 };
 use dbstore::{binfmt, HorizontalDb};
-use eclat::pipeline::{self, Threads};
+use eclat::clique::Clique;
+use eclat::maximal::MaxEclat;
+use eclat::pipeline::{self, ClassKernel, Eclat, Serial, Threads};
 use memchannel::{ClusterConfig, CostModel};
 use mining_types::{FrequentSet, MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams, SeqGenerator, SeqParams};
@@ -150,9 +153,9 @@ pub fn usage() -> String {
                 [--maximal] [--min-size K] [--top N] [--stats[=json]]\n\
                 [--out SNAPSHOT [--confidence FRAC]]\n\
        seq      --input FILE (--minsup|--support) PCT [--maxlen K]\n\
-                [--policy serial|rayon|threads[:P]] [--top N]\n\
+                [--policy serial|threads[:P]] [--top N]\n\
                 [--out SNAPSHOT] [--verify] [--stats[=json]] [--trace PATH]\n\
-                (rayon, threads and threads:0 all run one thread per core)\n\
+                (threads and threads:0 run one thread per core)\n\
        rules    --input FILE --support PCT --confidence FRAC [--top N]\n\
        simulate --input FILE --support PCT [--hosts H] [--procs P]\n\
                 [--algorithm eclat|hybrid|countdist] [--stats[=json]]\n\
@@ -302,20 +305,31 @@ fn reject_representation_flag(cmd: &str, flags: &Flags) -> Result<(), String> {
     }
 }
 
-fn mine_by_algorithm(
-    db: &HorizontalDb,
-    minsup: MinSupport,
-    algorithm: &str,
-) -> Result<FrequentSet, String> {
-    let mut meter = OpMeter::new();
-    let cfg = eclat::EclatConfig::default();
-    Ok(match algorithm {
-        "eclat" => eclat::sequential::mine_with(db, minsup, &cfg, &mut meter),
-        "parallel" => pipeline::run(db, minsup, &cfg, &mut meter, &Threads::new(0)),
-        "apriori" => apriori::mine(db, minsup),
-        "clique" => eclat::clique::mine_with(db, minsup, &cfg, &mut meter),
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
+/// An Eclat per-class kernel, the thread pool it runs on, and the
+/// report's variant label.
+type MinePlan = (Box<dyn ClassKernel>, Threads, &'static str);
+
+/// The one mapping from `mine --algorithm`/`--maximal` to what mines:
+/// an Eclat kernel on the three-phase driver, or `None` for apriori,
+/// which is not an Eclat kernel and has no stats report.
+fn mine_plan(algorithm: &str, maximal: bool) -> Result<Option<MinePlan>, String> {
+    let kernel: Box<dyn ClassKernel> = match (algorithm, maximal) {
+        ("eclat" | "parallel", false) => Box::new(Eclat),
+        ("eclat" | "parallel", true) => Box::new(MaxEclat),
+        ("clique", false) => Box::new(Clique::default()),
+        ("apriori", false) => return Ok(None),
+        ("apriori" | "clique", true) => {
+            return Err(format!(
+                "--maximal supports --algorithm eclat|parallel, not '{algorithm}'"
+            ))
+        }
+        (other, _) => return Err(format!("unknown algorithm '{other}'")),
+    };
+    Ok(Some(if algorithm == "parallel" {
+        (kernel, Threads::new(0), "parallel")
+    } else {
+        (kernel, Serial, "sequential")
+    }))
 }
 
 /// Per-size counts plus the top-supported itemsets — shared by `mine`
@@ -357,11 +371,12 @@ fn write_snapshot(
     }
     // Rule generation needs the complete downward-closed set, so the
     // snapshot is mined with singletons regardless of the display run.
-    let frequent = eclat::sequential::mine_with(
+    let frequent = eclat::pipeline::run(
         db,
         minsup,
         &eclat::EclatConfig::with_singletons(),
         &mut OpMeter::new(),
+        &Serial,
     );
     let rules = assoc_rules::generate(&frequent, confidence);
     let snap = binfmt::ResultsSnapshot {
@@ -401,35 +416,29 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
         arm_tracing(0);
     }
 
+    let plan = mine_plan(algorithm, flags.has("maximal"))?;
+    if plan.is_none() && stats != StatsMode::Off {
+        return Err(format!(
+            "--stats: {algorithm} has no stats report (use --algorithm eclat|parallel|clique)"
+        ));
+    }
+
     let t0 = std::time::Instant::now();
-    let mut report = None;
-    let cfg = eclat::EclatConfig::default();
-    let fs = if flags.has("maximal") {
-        if stats != StatsMode::Off {
-            let (fs, r) =
-                eclat::maximal::mine_maximal_stats(&db, minsup, &cfg, &mut OpMeter::new());
-            report = Some(r);
-            fs
-        } else {
-            eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new())
+    let (fs, report) = match plan {
+        Some((mut kernel, threads, variant)) => {
+            let (cfg, m) = (eclat::EclatConfig::default(), &mut OpMeter::new());
+            let kernel = kernel.as_mut();
+            let (fs, report) =
+                pipeline::run_stats_on(&db, minsup, &cfg, m, &threads, variant, kernel);
+            (fs, Some(report))
         }
-    } else if stats != StatsMode::Off {
-        let mut meter = OpMeter::new();
-        let (fs, r) = match algorithm {
-            "eclat" => eclat::sequential::mine_stats(&db, minsup, &cfg, &mut meter),
-            "parallel" => {
-                pipeline::run_stats(&db, minsup, &cfg, &mut meter, &Threads::new(0), "parallel")
-            }
-            other => {
-                return Err(format!(
-                    "--stats supports --algorithm eclat|parallel, not '{other}'"
-                ))
-            }
-        };
-        report = Some(r);
-        fs
-    } else {
-        mine_by_algorithm(&db, minsup, algorithm)?
+        // Frequent itemsets are those of size ≥ 2 (§5.1), as every Eclat
+        // kernel reports them.
+        None => {
+            let fs = apriori::mine(&db, minsup);
+            let pairs_up = fs.iter().filter(|(is, _)| is.len() >= 2);
+            (pairs_up.map(|(is, s)| (is.clone(), s)).collect(), None)
+        }
     };
     let dt = t0.elapsed().as_secs_f64();
 
@@ -480,7 +489,7 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
     if let Some(msg) = trace_msg {
         out.push_str(&msg);
     }
-    if let Some(r) = &report {
+    if let (StatsMode::Human, Some(r)) = (stats, &report) {
         out.push('\n');
         out.push_str(&r.render());
     }
@@ -496,11 +505,12 @@ fn cmd_rules(flags: &Flags) -> Result<String, String> {
     }
     let top: usize = flags.parse("top", 20usize)?;
     let mut meter = OpMeter::new();
-    let fs = eclat::sequential::mine_with(
+    let fs = eclat::pipeline::run(
         &db,
         minsup,
         &eclat::EclatConfig::with_singletons(),
         &mut meter,
+        &Serial,
     );
     let rules = assoc_rules::generate(&fs, confidence);
     let mut out = String::new();
@@ -999,11 +1009,12 @@ fn cmd_serve(flags: &Flags) -> Result<String, String> {
         if !(0.0..=1.0).contains(&confidence) {
             return Err("--confidence must be in [0, 1]".to_string());
         }
-        let frequent = eclat::sequential::mine_with(
+        let frequent = eclat::pipeline::run(
             &db,
             minsup,
             &eclat::EclatConfig::with_singletons(),
             &mut OpMeter::new(),
+            &Serial,
         );
         let rules = assoc_rules::generate(&frequent, confidence);
         assoc_serve::Dataset {
@@ -1367,33 +1378,53 @@ mod tests {
     fn algorithms_agree_via_cli() {
         let path = tempfile("algos");
         generate(&path, 2000);
-        let base = run(&argv(&["mine", "--input", &path, "--support", "0.5"])).unwrap();
-        for algo in ["parallel", "apriori", "clique"] {
-            let out = run(&argv(&[
-                "mine",
-                "--input",
-                &path,
-                "--support",
-                "0.5",
-                "--algorithm",
-                algo,
-            ]))
-            .unwrap();
-            // same per-size breakdown lines (apriori adds size-1 row)
-            for line in base.lines().filter(|l| l.trim_start().starts_with("size")) {
-                assert!(out.contains(line.trim()), "{algo} missing {line}");
-            }
+        // Whole result sets: every itemset printed, headline dropped.
+        let body = |args: &[&str]| {
+            let mut full = vec!["mine", "--input", &path, "--support", "0.5"];
+            full.extend(["--min-size", "1", "--top", "1000000000"]);
+            full.extend(args);
+            let out = run(&argv(&full)).unwrap();
+            out.split_once('\n').unwrap().1.to_string()
+        };
+        let base = body(&[]);
+        assert!(base.contains("size  3:"), "{base}");
+        assert!(!base.contains("size  1:"), "sizes >= 2 only: {base}");
+        for algo in ["eclat", "parallel", "apriori", "clique"] {
+            assert_eq!(body(&["--algorithm", algo]), base, "{algo}");
         }
-        let maximal = run(&argv(&[
+        let maximal = body(&["--maximal"]);
+        assert_eq!(body(&["--maximal", "--algorithm", "parallel"]), maximal);
+        let headline = run(&argv(&[
             "mine",
             "--input",
             &path,
             "--support",
             "0.5",
             "--maximal",
+            "--algorithm",
+            "parallel",
         ]))
         .unwrap();
-        assert!(maximal.contains("maximal frequent"), "{maximal}");
+        assert!(headline.contains("maximal frequent"), "{headline}");
+        assert!(headline.contains("(parallel)"), "{headline}");
+        // MaxEclat runs on the Eclat kernels' thread pools only.
+        for algo in ["apriori", "clique"] {
+            let err = run(&argv(&[
+                "mine",
+                "--input",
+                &path,
+                "--support",
+                "0.5",
+                "--maximal",
+                "--algorithm",
+                algo,
+            ]))
+            .unwrap_err();
+            assert_eq!(
+                err,
+                format!("--maximal supports --algorithm eclat|parallel, not '{algo}'")
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1510,7 +1541,7 @@ mod tests {
             "--stats",
         ]))
         .unwrap_err()
-        .contains("eclat|parallel"));
+        .contains("apriori has no stats report"));
         assert!(run(&argv(&[
             "simulate",
             "--input",
@@ -1574,7 +1605,9 @@ mod tests {
         for (args, label) in [
             ("mine", "auto"),
             ("mine --algorithm parallel", "auto"),
+            ("mine --algorithm clique", "auto"),
             ("mine --maximal", "auto"),
+            ("mine --algorithm parallel --maximal", "auto"),
             ("stream --batch 300", "auto"),
             ("simulate --hosts 2", "tidlist"),
             ("simulate --algorithm hybrid", "tidlist"),
@@ -1587,6 +1620,12 @@ mod tests {
             if args.ends_with("--maximal") {
                 assert!(out.contains("\"algorithm\":\"maxeclat\""), "{out}");
                 assert!(out.contains("\"switch_events\""), "{out}");
+            }
+            if args.contains("clique") {
+                assert!(out.contains("\"algorithm\":\"clique\""), "{out}");
+            }
+            if args.contains("parallel") {
+                assert!(out.contains("\"variant\":\"parallel\""), "{out}");
             }
         }
         std::fs::remove_file(&path).unwrap();
@@ -2162,7 +2201,7 @@ mod tests {
         assert!(base.contains("frequent sequences"), "{base}");
         assert!(base.contains("[verified]"), "{base}");
         assert!(base.contains("len  2:"), "{base}");
-        for policy in ["rayon", "threads", "threads:0", "threads:3"] {
+        for policy in ["threads", "threads:0", "threads:3"] {
             let par = run(&argv(&[
                 "seq", "--input", &path, "--minsup", "4", "--policy", policy,
             ]))
@@ -2191,7 +2230,7 @@ mod tests {
             "--minsup",
             "4",
             "--policy",
-            "rayon",
+            "threads:2",
             "--stats=json",
         ]))
         .unwrap();
@@ -2199,7 +2238,7 @@ mod tests {
             json.starts_with("{\"schema_version\":1,\"algorithm\":\"spade\""),
             "{json}"
         );
-        assert!(json.contains("\"variant\":\"rayon\""), "{json}");
+        assert!(json.contains("\"variant\":\"threads\""), "{json}");
         assert!(json.contains("\"by_len\":[{\"len\":1,"), "{json}");
 
         // --out persists a checksummed snapshot that round-trips.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! eclat seq --input F.ecs (--minsup|--support) PCT [--maxlen K]
-//!           [--policy serial|rayon|threads[:P]] [--top N]
+//!           [--policy serial|threads[:P]] [--top N]
 //!           [--out SNAP.ecq] [--verify] [--stats[=json]] [--trace PATH]
 //! ```
 //!
@@ -25,20 +25,17 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
 /// The executor `--policy` asked for, with its stats `variant` label.
-/// `rayon`, bare `threads` and `threads:0` all mean one thread per core.
+/// Bare `threads` and `threads:0` both mean one thread per core.
 fn policy_of(flags: &Flags) -> Result<(Threads, &'static str), String> {
     match flags.get("policy").unwrap_or("serial") {
         "serial" => Ok((Serial, "sequential")),
-        "rayon" => Ok((Threads::new(0), "rayon")),
         "threads" => Ok((Threads::new(0), "threads")),
         other => match other.split_once(':') {
             Some(("threads", p)) => {
                 let threads: usize = p.parse().map_err(|_| format!("bad thread count '{p}'"))?;
                 Ok((Threads::new(threads), "threads"))
             }
-            _ => Err(format!(
-                "unknown policy '{other}' (serial|rayon|threads[:P])"
-            )),
+            _ => Err(format!("unknown policy '{other}' (serial|threads[:P])")),
         },
     }
 }
@@ -161,18 +158,24 @@ mod tests {
     use super::*;
     use crate::common::parse_flags;
 
-    fn policy(spelling: &str) -> (Threads, &'static str) {
+    fn policy(spelling: &str) -> Result<(Threads, &'static str), String> {
         let argv = ["--policy".to_string(), spelling.to_string()];
-        policy_of(&parse_flags(&argv).unwrap()).unwrap()
+        policy_of(&parse_flags(&argv).unwrap())
     }
 
     #[test]
     fn policy_spellings_resolve_to_thread_counts() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(policy("serial"), (Serial, "sequential"));
-        assert_eq!(policy("rayon"), (Threads::new(cores), "rayon"));
-        assert_eq!(policy("threads"), (Threads::new(cores), "threads"));
-        assert_eq!(policy("threads:0"), (Threads::new(cores), "threads"));
-        assert_eq!(policy("threads:3").0.get(), 3);
+        assert_eq!(policy("serial"), Ok((Serial, "sequential")));
+        assert_eq!(policy("threads"), Ok((Threads::new(cores), "threads")));
+        assert_eq!(policy("threads:0"), Ok((Threads::new(cores), "threads")));
+        assert_eq!(policy("threads:3").unwrap().0.get(), 3);
+    }
+
+    #[test]
+    fn retired_rayon_policy_is_rejected_naming_threads() {
+        let err = policy("rayon").unwrap_err();
+        assert!(err.contains("unknown policy 'rayon'"), "{err}");
+        assert!(err.contains("threads[:P]"), "{err}");
     }
 }

@@ -14,15 +14,17 @@
 //!
 //! [`clique_clusters`] refines each prefix class into the maximal cliques
 //! of its induced subgraph (Bron–Kerbosch with pivoting; class
-//! neighborhoods are small at realistic supports), and
-//! [`mine_class_cliques`] mines each clique with the ordinary recursive
-//! kernel, deduplicating overlaps through the shared [`FrequentSet`].
+//! neighborhoods are small at realistic supports), and the [`Clique`]
+//! kernel mines each clique with the ordinary recursive kernel,
+//! deduplicating overlaps, as the per-class step of the shared
+//! three-phase driver.
 
 use crate::compute::EclatConfig;
 use crate::equivalence::{ClassMember, EquivalenceClass};
-use crate::pipeline;
-use crate::transform::count_pairs;
-use mining_types::{FrequentSet, FxHashMap, FxHashSet, ItemId, OpMeter};
+use crate::pipeline::{self, ClassKernel, Threads};
+use dbstore::HorizontalDb;
+use mining_types::stats::{KernelStats, MiningStats};
+use mining_types::{FrequentSet, FxHashSet, ItemId, MinSupport, OpMeter};
 
 /// The `L2` adjacency relation restricted to one prefix class.
 struct ClassGraph {
@@ -128,72 +130,71 @@ pub fn clique_clusters(
         .collect()
 }
 
-/// Mine one prefix class via its maximal cliques (the "Clique" algorithm
-/// of \[18\]): the union over cliques equals the prefix-class result, with
-/// fewer doomed candidates at the cost of clique enumeration and overlap.
-pub fn mine_class_cliques(
-    class: EquivalenceClass,
-    edges: &FxHashSet<(ItemId, ItemId)>,
-    minsup: u32,
-    cfg: &EclatConfig,
-    meter: &mut OpMeter,
-    out: &mut FrequentSet,
-) {
-    // Overlapping cliques rediscover shared itemsets; a scratch set per
-    // clique keeps `out`'s duplicate-support invariant happy while
-    // counting each discovery only once.
-    let mut scratch: FxHashMap<mining_types::Itemset, u32> = FxHashMap::default();
-    for sub in clique_clusters(&class, edges) {
-        let mut local = FrequentSet::new();
-        let mut kernel = mining_types::stats::KernelStats::new();
-        pipeline::compute_class_stats(sub, minsup, cfg, meter, &mut local, &mut kernel);
-        for (is, sup) in local.iter() {
-            scratch.insert(is.clone(), sup);
-        }
+/// The Clique algorithm of \[18\] as the driver's per-class step: mine
+/// each prefix class via its maximal cliques. The union over cliques
+/// equals the prefix-class result, with fewer doomed candidates at the
+/// cost of clique enumeration and overlap. The kernel counters add up
+/// every clique's work, so a candidate shared by two cliques counts
+/// twice.
+#[derive(Default)]
+pub struct Clique {
+    /// The global frequent-pair set, learned from `L2`.
+    edges: FxHashSet<(ItemId, ItemId)>,
+}
+
+impl ClassKernel for Clique {
+    fn algorithm(&self) -> &'static str {
+        "clique"
     }
-    for (is, sup) in scratch {
-        out.insert(is, sup);
+
+    fn prepare(&mut self, l2: &[(ItemId, ItemId)]) {
+        self.edges = l2.iter().copied().collect();
+    }
+
+    fn mine_class(
+        &self,
+        class: EquivalenceClass,
+        threshold: u32,
+        cfg: &EclatConfig,
+        meter: &mut OpMeter,
+        out: &mut FrequentSet,
+        stats: &mut KernelStats,
+    ) {
+        pipeline::record_members(&class, out);
+        // Overlapping cliques rediscover shared itemsets, with the same
+        // supports; `out` keeps one copy.
+        for sub in clique_clusters(&class, &self.edges) {
+            pipeline::compute_class_stats(sub, threshold, cfg, meter, out, stats);
+        }
     }
 }
 
-/// Full-database miner using clique clustering (sizes ≥ 2) — the Clique
-/// algorithm end to end; a drop-in alternative to
-/// [`crate::sequential::mine`].
-pub fn mine(db: &dbstore::HorizontalDb, minsup: mining_types::MinSupport) -> FrequentSet {
-    let mut meter = OpMeter::new();
-    mine_with(db, minsup, &EclatConfig::default(), &mut meter)
-}
-
-/// [`mine`] with configuration and metering.
-pub fn mine_with(
-    db: &dbstore::HorizontalDb,
-    minsup: mining_types::MinSupport,
+/// The Clique algorithm end to end (sizes ≥ 2): the three-phase
+/// [`pipeline::run_stats_on`] driver on the [`Clique`] kernel, reporting
+/// `"algorithm":"clique"`.
+pub fn mine(
+    db: &HorizontalDb,
+    minsup: MinSupport,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
-) -> FrequentSet {
-    let threshold = minsup.count_threshold(db.num_transactions());
-    let mut out = FrequentSet::new();
-    let tri = count_pairs(db, 0..db.num_transactions(), meter);
-    let l2 = pipeline::frequent_l2(&tri, threshold);
-    if cfg.include_singletons {
-        pipeline::insert_frequent_singletons(db, threshold, meter, &mut out);
-    }
-    if l2.is_empty() {
-        return out;
-    }
-    let edges: FxHashSet<(ItemId, ItemId)> = l2.iter().copied().collect();
-    for class in pipeline::vertical_classes(db, &l2, meter) {
-        for m in &class.members {
-            out.insert(m.itemset.clone(), m.tids.support());
-        }
-        mine_class_cliques(class, &edges, threshold, cfg, meter, &mut out);
-    }
-    out
+    threads: &Threads,
+    variant: &str,
+) -> (FrequentSet, MiningStats) {
+    pipeline::run_stats_on(
+        db,
+        minsup,
+        cfg,
+        meter,
+        threads,
+        variant,
+        &mut Clique::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Serial;
     use apriori::reference::random_db;
     use mining_types::Itemset;
     use tidlist::TidList;
@@ -282,12 +283,20 @@ mod tests {
 
     #[test]
     fn clique_mining_matches_sequential_eclat() {
+        let cfg = EclatConfig::default();
         for seed in [0u64, 6, 21] {
             let db = random_db(seed, 200, 14, 6);
             for pct in [4.0, 10.0] {
-                let minsup = mining_types::MinSupport::from_percent(pct);
-                let via_cliques = mine(&db, minsup);
-                let reference = crate::sequential::mine(&db, minsup);
+                let minsup = MinSupport::from_percent(pct);
+                let (via_cliques, _) = mine(
+                    &db,
+                    minsup,
+                    &cfg,
+                    &mut OpMeter::new(),
+                    &Serial,
+                    "sequential",
+                );
+                let reference = pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
                 assert_eq!(via_cliques, reference, "seed {seed} pct {pct}");
             }
         }
@@ -297,11 +306,12 @@ mod tests {
     fn clique_clustering_generates_fewer_candidates() {
         // On sparse-ish data the tight clusters skip doomed joins.
         let db = random_db(17, 300, 14, 5);
-        let minsup = mining_types::MinSupport::from_percent(4.0);
+        let minsup = MinSupport::from_percent(4.0);
+        let cfg = EclatConfig::default();
         let mut m_clique = OpMeter::new();
         let mut m_prefix = OpMeter::new();
-        let a = mine_with(&db, minsup, &EclatConfig::default(), &mut m_clique);
-        let b = crate::sequential::mine_with(&db, minsup, &EclatConfig::default(), &mut m_prefix);
+        let (a, stats) = mine(&db, minsup, &cfg, &mut m_clique, &Serial, "sequential");
+        let b = pipeline::run(&db, minsup, &cfg, &mut m_prefix, &Serial);
         assert_eq!(a, b);
         assert!(
             m_clique.cand_gen <= m_prefix.cand_gen,
@@ -309,6 +319,13 @@ mod tests {
             m_clique.cand_gen,
             m_prefix.cand_gen
         );
+        // The clique kernel's work lands in the report: every generated
+        // candidate is one join of some clique.
+        assert_eq!(stats.algorithm, "clique");
+        assert_eq!(stats.representation, pipeline::LABEL_AUTO);
+        assert_eq!(stats.kernel_totals().joins, m_clique.cand_gen);
+        assert!(stats.kernel_totals().frequent > 0);
+        assert_eq!(stats.total_ops, m_clique);
     }
 
     #[test]

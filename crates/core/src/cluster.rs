@@ -21,7 +21,7 @@
 //! the recorded traces replay against the cost model to produce the
 //! virtual [`Timeline`] reported in Table 2 / Figure 7.
 
-use crate::compute::{compute_frequent_stats, EclatConfig};
+use crate::compute::EclatConfig;
 use crate::equivalence::classes_of_l2;
 use crate::pipeline;
 use crate::schedule::{schedule_l2, Assignment};
@@ -257,13 +257,13 @@ pub fn mine_cluster(
             .into_iter()
             .map(|(s, l)| (pairs_only[s].0, pairs_only[s].1, l))
             .collect();
-        let (local, class_stats) = pipeline::mine_classes_with(
+        let (local, class_stats) = pipeline::mine_classes(
             classes_of_l2(pairs_with_lists),
             threshold,
             cfg,
             &mut meter,
             &pipeline::Serial,
-            compute_frequent_stats::<TidList>,
+            &pipeline::PaperTidLists,
         );
         rec.compute(&meter);
         async_ops.merge(&meter);
@@ -318,7 +318,7 @@ pub fn mine_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential;
+    use crate::pipeline::Serial;
     use apriori::reference::random_db;
 
     fn cost() -> CostModel {
@@ -329,7 +329,13 @@ mod tests {
     fn cluster_matches_sequential_on_every_topology() {
         let db = random_db(4, 240, 14, 6);
         let minsup = MinSupport::from_percent(5.0);
-        let expect = sequential::mine(&db, minsup);
+        let expect = pipeline::run(
+            &db,
+            minsup,
+            &EclatConfig::default(),
+            &mut OpMeter::new(),
+            &Serial,
+        );
         for (h, p) in [(1, 1), (2, 1), (1, 4), (2, 2), (4, 2), (3, 3)] {
             let report = mine_cluster(
                 &db,

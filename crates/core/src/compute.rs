@@ -131,23 +131,12 @@ pub(crate) fn join_level<S: TidSet>(
 }
 
 /// Mine everything derivable from one equivalence class, on whatever
-/// representation the class carries.
+/// representation the class carries, filling a [`KernelStats`] with
+/// per-level candidate/frequent counts, the short-circuit hit rate, the
+/// peak live tid-set footprint, and `AdaptiveSet` switch events.
 ///
 /// The members of `class` itself must already be recorded in `out` by
 /// the caller.
-pub fn compute_frequent<S: TidSet>(
-    class: EquivalenceClass<S>,
-    minsup: u32,
-    cfg: &EclatConfig,
-    meter: &mut OpMeter,
-    out: &mut FrequentSet,
-) {
-    compute_frequent_stats(class, minsup, cfg, meter, out, &mut KernelStats::new());
-}
-
-/// [`compute_frequent`] that additionally fills a [`KernelStats`] with
-/// per-level candidate/frequent counts, the short-circuit hit rate, the
-/// peak live tid-set footprint, and `AdaptiveSet` switch events.
 pub fn compute_frequent_stats<S: TidSet>(
     class: EquivalenceClass<S>,
     minsup: u32,
@@ -290,6 +279,17 @@ mod tests {
         }
     }
 
+    /// [`compute_frequent_stats`] with its kernel counters discarded.
+    fn mine_below(
+        class: EquivalenceClass,
+        minsup: u32,
+        cfg: &EclatConfig,
+        meter: &mut OpMeter,
+        out: &mut FrequentSet,
+    ) {
+        compute_frequent_stats(class, minsup, cfg, meter, out, &mut KernelStats::new());
+    }
+
     /// Class \[0\] where {0,1},{0,2} overlap heavily and {0,3} does not.
     fn sample_class() -> EquivalenceClass {
         EquivalenceClass {
@@ -306,7 +306,7 @@ mod tests {
     fn finds_three_itemsets_and_recurses() {
         let mut out = FrequentSet::new();
         let mut meter = OpMeter::new();
-        compute_frequent(
+        mine_below(
             sample_class(),
             2,
             &EclatConfig::default(),
@@ -330,7 +330,7 @@ mod tests {
         };
         let mut out = FrequentSet::new();
         let mut meter = OpMeter::new();
-        compute_frequent(class, 3, &EclatConfig::default(), &mut meter, &mut out);
+        mine_below(class, 3, &EclatConfig::default(), &mut meter, &mut out);
         // sizes: C(4,2)=6 threes, C(4,3)=4 fours, C(4,4)=1 five
         assert_eq!(out.counts_by_size(), vec![0, 0, 6, 4, 1]);
         assert_eq!(out.support_of(&Itemset::of(&[0, 1, 2, 3, 4])), Some(3));
@@ -345,7 +345,7 @@ mod tests {
             };
             let mut out = FrequentSet::new();
             let mut meter = OpMeter::new();
-            compute_frequent(sample_class(), 2, &cfg, &mut meter, &mut out);
+            mine_below(sample_class(), 2, &cfg, &mut meter, &mut out);
             assert_eq!(out.support_of(&Itemset::of(&[0, 1, 2])), Some(3));
             assert_eq!(out.len(), 1);
         }
@@ -364,7 +364,7 @@ mod tests {
         let run = |sc: bool| {
             let mut out = FrequentSet::new();
             let mut meter = OpMeter::new();
-            compute_frequent(
+            mine_below(
                 class.clone(),
                 399,
                 &EclatConfig {
@@ -390,7 +390,7 @@ mod tests {
         let run = |prune: bool| {
             let mut out = FrequentSet::new();
             let mut meter = OpMeter::new();
-            compute_frequent(
+            mine_below(
                 class.clone(),
                 2,
                 &EclatConfig {
@@ -417,14 +417,13 @@ mod tests {
         };
         let mut out = FrequentSet::new();
         let mut meter = OpMeter::new();
-        compute_frequent(class, 1, &EclatConfig::default(), &mut meter, &mut out);
+        mine_below(class, 1, &EclatConfig::default(), &mut meter, &mut out);
         assert!(out.is_empty());
         assert_eq!(meter.cand_gen, 0);
     }
 
     #[test]
     fn kernel_stats_count_joins_and_outcomes() {
-        use mining_types::stats::KernelStats;
         let mut out = FrequentSet::new();
         let mut stats = KernelStats::new();
         compute_frequent_stats(

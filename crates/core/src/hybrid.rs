@@ -18,7 +18,7 @@
 //! * only host leaders (the first processor of each host) participate in
 //!   the tid-list exchange — cross-host bytes drop accordingly.
 
-use crate::compute::{compute_frequent_stats, EclatConfig};
+use crate::compute::EclatConfig;
 use crate::equivalence::classes_of_l2;
 use crate::pipeline;
 use crate::schedule::{schedule_weights, shard_classes, Assignment};
@@ -271,13 +271,13 @@ pub fn mine_hybrid(
                 rec.disk_read(bytes);
             }
             let mut meter = OpMeter::new();
-            let (local_out, class_stats) = pipeline::mine_classes_with(
+            let (local_out, class_stats) = pipeline::mine_classes(
                 my_classes,
                 threshold,
                 cfg,
                 &mut meter,
                 &pipeline::Serial,
-                compute_frequent_stats::<TidList>,
+                &pipeline::PaperTidLists,
             );
             rec.compute(&meter);
             async_ops.merge(&meter);
@@ -337,7 +337,7 @@ pub fn mine_hybrid(
 mod tests {
     use super::*;
     use crate::cluster::mine_cluster;
-    use crate::sequential;
+    use crate::pipeline::Serial;
     use apriori::reference::random_db;
 
     fn cost() -> CostModel {
@@ -348,7 +348,13 @@ mod tests {
     fn hybrid_matches_sequential() {
         let db = random_db(6, 300, 14, 6);
         let minsup = MinSupport::from_percent(4.0);
-        let expect = sequential::mine(&db, minsup);
+        let expect = pipeline::run(
+            &db,
+            minsup,
+            &EclatConfig::default(),
+            &mut OpMeter::new(),
+            &Serial,
+        );
         for (hh, pp) in [(1, 1), (2, 2), (1, 4), (2, 3)] {
             let report = mine_hybrid(
                 &db,

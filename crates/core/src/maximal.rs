@@ -22,161 +22,83 @@
 
 use crate::compute::{join_level, EclatConfig, JoinHandler};
 use crate::equivalence::{ClassMember, EquivalenceClass};
-use crate::pipeline::{self, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE, PHASE_TRANSFORM};
-use crate::transform::count_pairs;
+use crate::pipeline::{self, ClassKernel, Threads};
 use dbstore::HorizontalDb;
-use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
+use mining_types::stats::{KernelStats, MiningStats};
 use mining_types::{FrequentSet, Itemset, MinSupport, OpMeter};
-use std::time::Instant;
 use tidlist::TidSet;
 
-/// Mine the maximal frequent itemsets (size ≥ 2).
-pub fn mine_maximal(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
-    let mut meter = OpMeter::new();
-    mine_maximal_with(db, minsup, &EclatConfig::default(), &mut meter)
-}
+/// The MaxEclat per-class step of the three-phase driver: each class
+/// contributes its locally maximal itemsets, and the global
+/// [`reduce`](ClassKernel::reduce) keeps those no other class subsumes.
+/// The report's kernel work includes look-ahead candidates,
+/// short-circuit hits and `AdaptiveSet` switch events.
+pub struct MaxEclat;
 
-/// [`mine_maximal`] with configuration and metering.
-pub fn mine_maximal_with(
-    db: &HorizontalDb,
-    minsup: MinSupport,
-    cfg: &EclatConfig,
-    meter: &mut OpMeter,
-) -> FrequentSet {
-    mine_maximal_stats(db, minsup, cfg, meter).0
-}
-
-/// [`mine_maximal_with`] that also produces the structured
-/// [`MiningStats`] report (algorithm `"maxeclat"`): per-phase
-/// wall-clock/op deltas, per-class kernel work including look-ahead
-/// candidates, short-circuit hits, and `AdaptiveSet` switch events.
-pub fn mine_maximal_stats(
-    db: &HorizontalDb,
-    minsup: MinSupport,
-    cfg: &EclatConfig,
-    meter: &mut OpMeter,
-) -> (FrequentSet, MiningStats) {
-    let threshold = minsup.count_threshold(db.num_transactions());
-    let mut stats = MiningStats::new("maxeclat", "sequential", pipeline::LABEL_AUTO);
-    stats.transactions = db.num_transactions() as u64;
-    stats.threshold = u64::from(threshold);
-    let start_ops = *meter;
-
-    // --- Phase 1 (initialization, §5.1): triangular counts of all pairs.
-    let t_init = Instant::now();
-    let tri = count_pairs(db, 0..db.num_transactions(), meter);
-    let l2 = pipeline::frequent_l2(&tri, threshold);
-    stats.record_level(2, tri.cells() as u64, l2.len() as u64);
-    stats.phases.push(PhaseStats {
-        label: PHASE_INIT.to_string(),
-        secs: t_init.elapsed().as_secs_f64(),
-        ops: meter.since(&start_ops),
-    });
-    if l2.is_empty() {
-        stats.total_ops = meter.since(&start_ops);
-        return (FrequentSet::new(), stats);
+impl ClassKernel for MaxEclat {
+    fn algorithm(&self) -> &'static str {
+        "maxeclat"
     }
 
-    // --- Phase 2 (transformation, §5.2.2): vertical tid-lists for L2.
-    let t_transform = Instant::now();
-    let ops_before_transform = *meter;
-    let classes = pipeline::vertical_classes(db, &l2, meter);
-    stats.phases.push(PhaseStats {
-        label: PHASE_TRANSFORM.to_string(),
-        secs: t_transform.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_transform),
-    });
-
-    // --- Phase 3 (asynchronous, §5.3): hybrid max search per class.
-    // Collect candidate-maximal itemsets from every class, then filter
-    // globally (a class's local maximal can be subsumed by another
-    // class's result only if it is a subset — prefix classes make that
-    // impossible for same-first-item sets, but e.g. {B,C} ∈ [B] is
-    // subsumed by {A,B,C} ∈ [A], so the global pass is required).
-    let t_async = Instant::now();
-    let ops_before_async = *meter;
-    let mut candidates: Vec<(Itemset, u32)> = Vec::new();
-    for class in classes {
-        let mut cs = ClassStats {
-            prefix: class.prefix.items().iter().map(|i| i.0).collect(),
-            members: class.members.len() as u64,
-            kernel: KernelStats::new(),
-        };
-        max_class(
-            class,
-            threshold,
-            cfg,
-            meter,
-            &mut candidates,
-            &mut cs.kernel,
-        );
-        stats.add_class(cs);
-    }
-    stats.sort_classes();
-    stats.phases.push(PhaseStats {
-        label: PHASE_ASYNC.to_string(),
-        secs: t_async.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_async),
-    });
-
-    // --- Phase 4 (reduction): global maximality filter.
-    let t_reduce = Instant::now();
-    let ops_before_reduce = *meter;
-    let mut out = FrequentSet::new();
-    for (i, (is, sup)) in candidates.iter().enumerate() {
-        let subsumed = candidates
-            .iter()
-            .enumerate()
-            .any(|(j, (other, _))| j != i && other.len() > is.len() && is.is_subset_of(other));
-        if !subsumed {
-            out.insert(is.clone(), *sup);
+    /// One class of the max search on bitmaps or diffsets, chosen by
+    /// [`pipeline::class_is_dense`] as in `pipeline::compute_class_stats`.
+    fn mine_class(
+        &self,
+        class: EquivalenceClass,
+        threshold: u32,
+        cfg: &EclatConfig,
+        meter: &mut OpMeter,
+        out: &mut FrequentSet,
+        stats: &mut KernelStats,
+    ) {
+        if class.size() == 1 {
+            // a lone 2-itemset is maximal within its class
+            let m = &class.members[0];
+            out.insert(m.itemset.clone(), m.tids.support());
+        } else if pipeline::class_is_dense(&class) {
+            let class = pipeline::bitmap_class(class);
+            max_search(class, threshold, cfg, meter, out, stats)
+        } else {
+            let class = pipeline::diffset_class(class);
+            max_search(class, threshold, cfg, meter, out, stats)
         }
     }
-    stats.phases.push(PhaseStats {
-        label: PHASE_REDUCE.to_string(),
-        secs: t_reduce.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_reduce),
-    });
-    stats.num_frequent = out.len() as u64;
-    stats.total_ops = meter.since(&start_ops);
-    (out, stats)
+
+    /// A class's local maximal can be subsumed by another class's result
+    /// only if it is a subset — prefix classes make that impossible for
+    /// same-first-item sets, but e.g. {B,C} ∈ \[B\] is subsumed by
+    /// {A,B,C} ∈ \[A\], so the global pass is required.
+    fn reduce(&self) -> Option<fn(&FrequentSet) -> FrequentSet> {
+        Some(unsubsumed)
+    }
 }
 
-/// One class of the max search on bitmaps or diffsets, chosen by
-/// [`pipeline::class_is_dense`] as in `pipeline::compute_class_stats`.
-fn max_class(
-    class: EquivalenceClass,
-    minsup: u32,
+/// The candidates no other candidate strictly contains.
+fn unsubsumed(candidates: &FrequentSet) -> FrequentSet {
+    let all: Vec<(&Itemset, u32)> = candidates.iter().collect();
+    all.iter()
+        .filter(|&&(is, _)| {
+            !all.iter()
+                .any(|&(other, _)| other.len() > is.len() && is.is_subset_of(other))
+        })
+        .map(|&(is, sup)| (is.clone(), sup))
+        .collect()
+}
+
+/// The maximal frequent itemsets (size ≥ 2) with their report
+/// (algorithm `"maxeclat"`): the three-phase
+/// [`pipeline::run_stats_on`] driver on the [`MaxEclat`] kernel. Under
+/// [`EclatConfig::include_singletons`] the frequent items that join no
+/// frequent pair are maximal too and are kept.
+pub fn mine(
+    db: &HorizontalDb,
+    minsup: MinSupport,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
-    found: &mut Vec<(Itemset, u32)>,
-    stats: &mut KernelStats,
-) {
-    if class.size() == 1 {
-        // a lone 2-itemset is maximal within its class
-        let m = &class.members[0];
-        found.push((m.itemset.clone(), m.tids.support()));
-        return;
-    }
-    if pipeline::class_is_dense(&class) {
-        max_search(
-            pipeline::bitmap_class(class),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        )
-    } else {
-        max_search(
-            pipeline::diffset_class(class),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        )
-    }
+    threads: &Threads,
+    variant: &str,
+) -> (FrequentSet, MiningStats) {
+    pipeline::run_stats_on(db, minsup, cfg, meter, threads, variant, &mut MaxEclat)
 }
 
 /// Recursive hybrid search over one class, generic over the members'
@@ -186,7 +108,7 @@ fn max_search<S: TidSet>(
     minsup: u32,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
-    found: &mut Vec<(Itemset, u32)>,
+    found: &mut FrequentSet,
     stats: &mut KernelStats,
 ) {
     let members = class.members;
@@ -218,7 +140,7 @@ fn max_search<S: TidSet>(
         for m in &members[1..] {
             union = union.union(&m.itemset);
         }
-        found.push((union, all.support()));
+        found.insert(union, all.support());
         return;
     }
     stats.record_infrequent(cfg.short_circuit);
@@ -237,14 +159,14 @@ fn max_search<S: TidSet>(
     // Members that extended nowhere are locally maximal.
     for (i, m) in members.iter().enumerate() {
         if !extended[i] {
-            found.push((m.itemset.clone(), m.tids.support()));
+            found.insert(m.itemset.clone(), m.tids.support());
         }
     }
     drop(members);
     for sub in crate::equivalence::repartition(next) {
         if sub.size() == 1 {
             let m = &sub.members[0];
-            found.push((m.itemset.clone(), m.tids.support()));
+            found.insert(m.itemset.clone(), m.tids.support());
         } else {
             max_search(sub, minsup, cfg, meter, found, stats);
         }
@@ -310,8 +232,19 @@ pub fn maximal_of(fs: &FrequentSet) -> FrequentSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Serial;
+    use crate::transform::count_pairs;
     use apriori::reference::random_db;
     use mining_types::ItemId;
+
+    fn maximal(db: &HorizontalDb, minsup: MinSupport, cfg: &EclatConfig) -> FrequentSet {
+        mine(db, minsup, cfg, &mut OpMeter::new(), &Serial, "sequential").0
+    }
+
+    fn full(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+        let cfg = EclatConfig::default();
+        pipeline::run(db, minsup, &cfg, &mut OpMeter::new(), &Serial)
+    }
 
     /// T10.I6 sample whose classes at 0.5% are all below the density
     /// threshold, so the search runs on diffsets.
@@ -328,18 +261,16 @@ mod tests {
             let db = random_db(seed, 200, 12, 6);
             for pct in [5.0, 10.0, 20.0] {
                 let minsup = MinSupport::from_percent(pct);
-                let max_direct = mine_maximal(&db, minsup);
-                let full = crate::sequential::mine(&db, minsup);
-                let max_oracle = maximal_of(&full);
+                let max_direct = maximal(&db, minsup, &EclatConfig::default());
+                let max_oracle = maximal_of(&full(&db, minsup));
                 assert_eq!(max_direct, max_oracle, "seed {seed} pct {pct}");
             }
         }
     }
 
-    /// Locally maximal sets of one class searched on representation `S`,
-    /// sorted.
-    fn class_maxima<S: TidSet>(class: EquivalenceClass<S>, threshold: u32) -> Vec<(Itemset, u32)> {
-        let mut found = Vec::new();
+    /// Locally maximal sets of one class searched on representation `S`.
+    fn class_maxima<S: TidSet>(class: EquivalenceClass<S>, threshold: u32) -> FrequentSet {
+        let mut found = FrequentSet::new();
         let cfg = EclatConfig::default();
         max_search(
             class,
@@ -349,7 +280,6 @@ mod tests {
             &mut found,
             &mut KernelStats::new(),
         );
-        found.sort();
         found
     }
 
@@ -363,14 +293,14 @@ mod tests {
         ];
         for (side, db, pct) in inputs {
             let minsup = MinSupport::from_percent(pct);
-            let oracle = maximal_of(&crate::sequential::mine(&db, minsup));
+            let oracle = maximal_of(&full(&db, minsup));
             assert!(oracle.max_size() >= 3, "{side} {pct}%");
             for short_circuit in [true, false] {
                 let cfg = EclatConfig {
                     short_circuit,
                     ..Default::default()
                 };
-                let got = mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new());
+                let got = maximal(&db, minsup, &cfg);
                 assert_eq!(got, oracle, "{side} {pct}% sc {short_circuit}");
             }
             // Class by class, both kernels find the tid-list search's maxima.
@@ -411,14 +341,21 @@ mod tests {
         let db = dense_db();
         let minsup = MinSupport::from_percent(50.0);
         let mut m_max = OpMeter::new();
-        let max = mine_maximal_with(&db, minsup, &EclatConfig::default(), &mut m_max);
+        let (max, _) = mine(
+            &db,
+            minsup,
+            &EclatConfig::default(),
+            &mut m_max,
+            &Serial,
+            "x",
+        );
         // the 8-item core is the unique maximal set
         assert_eq!(max.len(), 1);
         let (top, sup) = max.iter().next().unwrap();
         assert_eq!(top, &Itemset::of(&[0, 1, 2, 3, 4, 5, 6, 7]));
         assert_eq!(sup, 200);
         let mut m_full = OpMeter::new();
-        crate::sequential::mine_with(&db, minsup, &EclatConfig::default(), &mut m_full);
+        pipeline::run(&db, minsup, &EclatConfig::default(), &mut m_full, &Serial);
         assert!(
             m_max.tid_cmp * 5 < m_full.tid_cmp,
             "lookahead {} vs full {}",
@@ -434,7 +371,14 @@ mod tests {
         let db = sparse_db();
         let minsup = MinSupport::from_percent(0.5);
         let cfg = EclatConfig::default();
-        let (fs, stats) = mine_maximal_stats(&db, minsup, &cfg, &mut OpMeter::new());
+        let (fs, stats) = mine(
+            &db,
+            minsup,
+            &cfg,
+            &mut OpMeter::new(),
+            &Serial,
+            "sequential",
+        );
         assert!(!fs.is_empty());
         assert_eq!(stats.algorithm, "maxeclat");
         assert_eq!(stats.representation, pipeline::LABEL_AUTO);
@@ -448,7 +392,12 @@ mod tests {
         let labels: Vec<&str> = stats.phases.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(
             labels,
-            vec![PHASE_INIT, PHASE_TRANSFORM, PHASE_ASYNC, PHASE_REDUCE]
+            vec![
+                pipeline::PHASE_INIT,
+                pipeline::PHASE_TRANSFORM,
+                pipeline::PHASE_ASYNC,
+                pipeline::PHASE_REDUCE
+            ]
         );
         // The JSON surface carries the algorithm and switch events.
         let json = stats.to_json(false);
@@ -460,7 +409,7 @@ mod tests {
     fn no_member_of_output_subsumes_another() {
         let db = random_db(12, 300, 14, 6);
         let minsup = MinSupport::from_percent(5.0);
-        let max = mine_maximal(&db, minsup);
+        let max = maximal(&db, minsup, &EclatConfig::default());
         let v: Vec<_> = max.iter().collect();
         for (i, (a, _)) in v.iter().enumerate() {
             for (j, (b, _)) in v.iter().enumerate() {
@@ -472,8 +421,24 @@ mod tests {
     }
 
     #[test]
+    fn singletons_that_join_no_frequent_pair_are_maximal() {
+        // Threshold 2: {0,1} is the only frequent pair and 2 is frequent
+        // alone, so it is maximal whether or not a pair exists.
+        let db = HorizontalDb::of(&[&[0, 1], &[0, 1], &[2], &[2]]);
+        let minsup = MinSupport::from_fraction(0.5);
+        let cfg = EclatConfig::with_singletons();
+        let expect: FrequentSet = [(Itemset::of(&[0, 1]), 2), (Itemset::single(ItemId(2)), 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(maximal(&db, minsup, &cfg), expect);
+        let no_pairs = HorizontalDb::of(&[&[0], &[0], &[1]]);
+        let expect: FrequentSet = [(Itemset::single(ItemId(0)), 2)].into_iter().collect();
+        assert_eq!(maximal(&no_pairs, minsup, &cfg), expect);
+    }
+
+    #[test]
     fn empty_database() {
         let db = HorizontalDb::of(&[]);
-        assert!(mine_maximal(&db, MinSupport::from_percent(1.0)).is_empty());
+        assert!(maximal(&db, MinSupport::from_percent(1.0), &EclatConfig::default()).is_empty());
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Every variant in this crate runs the same §7 structure — *"The first
 //! scan for building L2, the second for transforming the database, and
-//! the third for obtaining the frequent itemsets"* — and historically
-//! each driver carried its own copy of the glue. This module owns the
+//! the third for obtaining the frequent itemsets"*. This module owns the
 //! three phases once:
 //!
 //! 1. **Initialization** ([`count_pairs_blocked`] → [`frequent_l2`], plus
@@ -12,17 +11,22 @@
 //! 2. **Transformation** ([`vertical_classes`]) — build the `L2`
 //!    tid-lists and group them into prefix equivalence classes (§5.2.2,
 //!    §4.1);
-//! 3. **Asynchronous phase** ([`mine_classes`] → [`mine_class`]) —
-//!    per-class recursive mining (§5.3), each class on bitmaps or on
-//!    diffsets as its density decides ([`compute_class_stats`]).
+//! 3. **Asynchronous phase** ([`mine_classes`]) — per-class mining
+//!    (§5.3) on a [`ClassKernel`], the one step that differs between
+//!    miners: [`Eclat`] mines each class on bitmaps or on diffsets as its
+//!    density decides ([`compute_class_stats`]), [`PaperTidLists`] on
+//!    the paper's tid-lists, [`crate::clique::Clique`] through maximal
+//!    cliques and [`crate::maximal::MaxEclat`] with look-ahead, followed
+//!    by a global reduce step.
 //!
-//! [`run`] composes the phases on a [`Threads`] pool: [`Serial`]
-//! reproduces the sequential algorithm, `Threads::new(0)` the
-//! shared-memory one on every core. The cluster and hybrid variants
+//! [`run_stats_on`] is the one driver that composes the phases, on a
+//! [`Threads`] pool: [`Serial`] reproduces the sequential algorithm,
+//! `Threads::new(0)` the shared-memory one on every core; [`run`] and
+//! [`run_stats`] run it on [`Eclat`]. The cluster and hybrid variants
 //! interleave the phases with the simulated communication/cost model, so
-//! they call the phase helpers directly instead of [`run`], and mine
-//! their classes on the paper's plain tid-lists so the cost model prices
-//! the comparisons it was calibrated on.
+//! they call the phase helpers directly, and mine their classes on
+//! [`PaperTidLists`] so the cost model prices the comparisons it was
+//! calibrated on.
 
 use crate::compute::{compute_frequent_stats, EclatConfig};
 use crate::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
@@ -175,14 +179,97 @@ pub const LABEL_AUTO: &str = "auto";
 /// the paper's plain tid-lists so their op counts price §4.2's merges.
 pub const LABEL_TIDLIST: &str = "tidlist";
 
-/// A per-class kernel: mine below a tid-list `L2` class, recording what
-/// it finds and its work counters.
-pub(crate) type ClassKernel =
-    fn(EquivalenceClass, u32, &EclatConfig, &mut OpMeter, &mut FrequentSet, &mut KernelStats);
+/// The asynchronous phase's per-class step: the one part of the
+/// three-phase driver [`run_stats_on`] that differs between miners (see
+/// the module docs for the four kernels). A kernel may keep state:
+/// [`prepare`](ClassKernel::prepare) sees the frequent pairs first.
+pub trait ClassKernel: Sync {
+    /// `MiningStats.algorithm` of a run on this kernel.
+    fn algorithm(&self) -> &'static str {
+        "eclat"
+    }
 
-/// Phase 3 for one class: record its members (they are frequent by
+    /// `MiningStats.representation` of a run on this kernel.
+    fn representation(&self) -> &'static str {
+        LABEL_AUTO
+    }
+
+    /// Called once with phase 1's frequent pairs, before any class is
+    /// mined (only when there is at least one).
+    fn prepare(&mut self, _l2: &[(ItemId, ItemId)]) {}
+
+    /// Mine one tid-list `L2` class into `out`, filling its work
+    /// counters. Recording the class members is up to the kernel.
+    fn mine_class(
+        &self,
+        class: EquivalenceClass,
+        threshold: u32,
+        cfg: &EclatConfig,
+        meter: &mut OpMeter,
+        out: &mut FrequentSet,
+        stats: &mut KernelStats,
+    );
+
+    /// A global pass over the merged phase-3 result, run and timed as
+    /// the [`PHASE_REDUCE`] phase; `None` (the default) skips the phase.
+    fn reduce(&self) -> Option<fn(&FrequentSet) -> FrequentSet> {
+        None
+    }
+}
+
+/// Every frequent itemset: record the class members (frequent by
 /// construction), then mine below them with [`compute_class_stats`].
-/// Returns the per-class work statistics.
+pub struct Eclat;
+
+impl ClassKernel for Eclat {
+    fn mine_class(
+        &self,
+        class: EquivalenceClass,
+        threshold: u32,
+        cfg: &EclatConfig,
+        meter: &mut OpMeter,
+        out: &mut FrequentSet,
+        stats: &mut KernelStats,
+    ) {
+        record_members(&class, out);
+        compute_class_stats(class, threshold, cfg, meter, out, stats);
+    }
+}
+
+/// [`Eclat`] with every class mined on plain tid-lists, the §4.2 layout
+/// whose comparisons the simulated variants price: the reference the
+/// per-class density choice is checked against, not a second way to
+/// mine.
+pub struct PaperTidLists;
+
+impl ClassKernel for PaperTidLists {
+    fn representation(&self) -> &'static str {
+        LABEL_TIDLIST
+    }
+
+    fn mine_class(
+        &self,
+        class: EquivalenceClass,
+        threshold: u32,
+        cfg: &EclatConfig,
+        meter: &mut OpMeter,
+        out: &mut FrequentSet,
+        stats: &mut KernelStats,
+    ) {
+        record_members(&class, out);
+        compute_frequent_stats::<TidList>(class, threshold, cfg, meter, out, stats);
+    }
+}
+
+/// Record a class's members, which are frequent by construction.
+pub(crate) fn record_members(class: &EquivalenceClass, out: &mut FrequentSet) {
+    for m in &class.members {
+        out.insert(m.itemset.clone(), m.tids.support());
+    }
+}
+
+/// Phase 3 for one class on the [`Eclat`] kernel. Returns the per-class
+/// work statistics.
 pub fn mine_class(
     class: EquivalenceClass,
     threshold: u32,
@@ -190,26 +277,23 @@ pub fn mine_class(
     meter: &mut OpMeter,
     out: &mut FrequentSet,
 ) -> ClassStats {
-    mine_class_with(class, threshold, cfg, meter, out, compute_class_stats)
+    class_task(&Eclat, class, threshold, cfg, meter, out)
 }
 
-fn mine_class_with(
+fn class_task(
+    kernel: &dyn ClassKernel,
     class: EquivalenceClass,
     threshold: u32,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
     out: &mut FrequentSet,
-    kernel: ClassKernel,
 ) -> ClassStats {
-    for m in &class.members {
-        out.insert(m.itemset.clone(), m.tids.support());
-    }
     let mut stats = ClassStats {
         prefix: class.prefix.items().iter().map(|i| i.0).collect(),
         members: class.members.len() as u64,
         kernel: KernelStats::new(),
     };
-    kernel(class, threshold, cfg, meter, out, &mut stats.kernel);
+    kernel.mine_class(class, threshold, cfg, meter, out, &mut stats.kernel);
     stats
 }
 
@@ -224,20 +308,7 @@ pub fn mine_classes(
     cfg: &EclatConfig,
     meter: &mut OpMeter,
     threads: &Threads,
-) -> (FrequentSet, Vec<ClassStats>) {
-    mine_classes_with(classes, threshold, cfg, meter, threads, compute_class_stats)
-}
-
-/// [`mine_classes`] on a given per-class kernel. The simulated variants
-/// and [`run_tidlist_stats`] pass the paper's tid-list kernel,
-/// `compute_frequent_stats::<TidList>`.
-pub(crate) fn mine_classes_with(
-    classes: Vec<EquivalenceClass>,
-    threshold: u32,
-    cfg: &EclatConfig,
-    meter: &mut OpMeter,
-    threads: &Threads,
-    kernel: ClassKernel,
+    kernel: &dyn ClassKernel,
 ) -> (FrequentSet, Vec<ClassStats>) {
     let weights = class_weights(&classes, cfg.heuristic);
     let locals: Vec<Mutex<(FrequentSet, OpMeter)>> =
@@ -246,7 +317,7 @@ pub(crate) fn mine_classes_with(
         let _span = eclat_obs::trace::span_arg("class", i as u64);
         let mut local = locals[t].lock().expect("per-thread results poisoned");
         let (out, m) = &mut *local;
-        mine_class_with(class, threshold, cfg, m, out, kernel)
+        class_task(kernel, class, threshold, cfg, m, out)
     });
     let mut out = FrequentSet::new();
     for local in locals {
@@ -332,9 +403,10 @@ pub fn class_is_dense(class: &EquivalenceClass) -> bool {
     sum * 1000 >= DENSE_PERMILLE * class.members.len() as u64 * span
 }
 
-/// The full three-phase pipeline on a [`Threads`] pool. This is the
-/// whole sequential/parallel algorithm; the cluster variants compose the
-/// phase helpers themselves around the communication model.
+/// Every frequent itemset of size ≥ 2 (plus the frequent singletons
+/// under [`EclatConfig::include_singletons`]): [`run_stats`] without the
+/// report. On [`Serial`] this is the paper's sequential algorithm, on
+/// `Threads::new(0)` the shared-memory one on every core.
 pub fn run(
     db: &HorizontalDb,
     minsup: MinSupport,
@@ -342,34 +414,12 @@ pub fn run(
     meter: &mut OpMeter,
     threads: &Threads,
 ) -> FrequentSet {
-    let threshold = minsup.count_threshold(db.num_transactions());
-    let mut out = FrequentSet::new();
-
-    // --- Phase 1 (initialization, §5.1): triangular counts of all pairs.
-    let tri = count_pairs_blocked(db, threads, meter);
-    let l2 = frequent_l2(&tri, threshold);
-
-    if cfg.include_singletons {
-        insert_frequent_singletons(db, threshold, meter, &mut out);
-    }
-    if l2.is_empty() {
-        return out;
-    }
-
-    // --- Phase 2 (transformation, §5.2.2): vertical tid-lists for L2.
-    let classes = vertical_classes(db, &l2, meter);
-
-    // --- Phase 3 (asynchronous, §5.3): per-class recursive mining.
-    let (mut found, _) = mine_classes(classes, threshold, cfg, meter, threads);
-    found.merge(out);
-    found
+    run_stats(db, minsup, cfg, meter, threads, "sequential").0
 }
 
-/// [`run`] that also produces the structured [`MiningStats`] report:
-/// per-phase wall-clock/op deltas, per-level candidate/frequent counts,
-/// and per-class kernel work. `variant` labels the report
-/// (`"sequential"` / `"parallel"`); live runs have no simulated cluster,
-/// so `stats.cluster` is `None`.
+/// The three-phase driver on the [`Eclat`] kernel, with its
+/// [`MiningStats`] report. `variant` labels the report (`"sequential"` /
+/// `"parallel"`).
 pub fn run_stats(
     db: &HorizontalDb,
     minsup: MinSupport,
@@ -378,30 +428,17 @@ pub fn run_stats(
     threads: &Threads,
     variant: &str,
 ) -> (FrequentSet, MiningStats) {
-    let kernel: ClassKernel = compute_class_stats;
-    run_stats_on(
-        db,
-        minsup,
-        cfg,
-        meter,
-        threads,
-        variant,
-        (kernel, LABEL_AUTO),
-    )
+    run_stats_on(db, minsup, cfg, meter, threads, variant, &mut Eclat)
 }
 
-/// The paper's kernel on one thread: [`run_stats`] with every class
-/// mined on plain tid-lists (the §4.2 layout whose comparisons the
-/// simulated variants price), labelled [`LABEL_TIDLIST`]. It is the
-/// reference the per-class density choice is checked against and the
-/// `tidlist` row of the ablations, not a second way to mine.
+/// The paper's kernel on one thread: [`run_stats_on`] with
+/// [`PaperTidLists`].
 pub fn run_tidlist_stats(
     db: &HorizontalDb,
     minsup: MinSupport,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
 ) -> (FrequentSet, MiningStats) {
-    let kernel: ClassKernel = compute_frequent_stats::<TidList>;
     run_stats_on(
         db,
         minsup,
@@ -409,76 +446,88 @@ pub fn run_tidlist_stats(
         meter,
         &Serial,
         "sequential",
-        (kernel, LABEL_TIDLIST),
+        &mut PaperTidLists,
     )
 }
 
-fn run_stats_on(
+/// Time one phase: a trace span and a [`PhaseStats`] row with the wall
+/// clock and the ops `f` metered.
+fn phase<T>(
+    label: &'static str,
+    stats: &mut MiningStats,
+    meter: &mut OpMeter,
+    f: impl FnOnce(&mut OpMeter) -> T,
+) -> T {
+    let _span = eclat_obs::trace::span(label);
+    let start = Instant::now();
+    let before = *meter;
+    let result = f(meter);
+    stats.phases.push(PhaseStats {
+        label: label.to_string(),
+        secs: start.elapsed().as_secs_f64(),
+        ops: meter.since(&before),
+    });
+    result
+}
+
+/// The three-phase driver, the one place the phases run outside the
+/// simulated cluster variants (which interleave them with the cost
+/// model): initialization, transformation and the asynchronous phase on
+/// `kernel`, then its reduce step if it has one. The report carries
+/// per-phase wall-clock/op deltas, per-level candidate/frequent counts
+/// and per-class kernel work; live runs have no simulated cluster, so
+/// `stats.cluster` is `None`.
+pub fn run_stats_on(
     db: &HorizontalDb,
     minsup: MinSupport,
     cfg: &EclatConfig,
     meter: &mut OpMeter,
     threads: &Threads,
     variant: &str,
-    (kernel, label): (ClassKernel, &str),
+    kernel: &mut dyn ClassKernel,
 ) -> (FrequentSet, MiningStats) {
     let threshold = minsup.count_threshold(db.num_transactions());
-    let mut stats = MiningStats::new("eclat", variant, label);
+    let mut stats = MiningStats::new(kernel.algorithm(), variant, kernel.representation());
     stats.transactions = db.num_transactions() as u64;
     stats.threshold = u64::from(threshold);
     let mut out = FrequentSet::new();
     let start_ops = *meter;
 
-    // --- Phase 1 (initialization, §5.1).
-    let span_init = eclat_obs::trace::span(PHASE_INIT);
-    let t_init = Instant::now();
-    let tri = count_pairs_blocked(db, threads, meter);
-    let l2 = frequent_l2(&tri, threshold);
-    stats.record_level(2, tri.cells() as u64, l2.len() as u64);
-    if cfg.include_singletons {
-        let (counted, inserted) = insert_frequent_singletons(db, threshold, meter, &mut out);
+    // --- Phase 1 (initialization, §5.1): triangular counts of all pairs.
+    let (l2, cells, singletons) = phase(PHASE_INIT, &mut stats, meter, |meter| {
+        let tri = count_pairs_blocked(db, threads, meter);
+        let singletons = cfg
+            .include_singletons
+            .then(|| insert_frequent_singletons(db, threshold, meter, &mut out));
+        (frequent_l2(&tri, threshold), tri.cells() as u64, singletons)
+    });
+    stats.record_level(2, cells, l2.len() as u64);
+    if let Some((counted, inserted)) = singletons {
         stats.record_level(1, counted, inserted);
     }
-    stats.phases.push(PhaseStats {
-        label: PHASE_INIT.to_string(),
-        secs: t_init.elapsed().as_secs_f64(),
-        ops: meter.since(&start_ops),
-    });
-    drop(span_init);
-    if l2.is_empty() {
-        stats.num_frequent = out.len() as u64;
-        stats.total_ops = meter.since(&start_ops);
-        return (out, stats);
-    }
 
-    // --- Phase 2 (transformation, §5.2.2).
-    let span_transform = eclat_obs::trace::span(PHASE_TRANSFORM);
-    let t_transform = Instant::now();
-    let ops_before_transform = *meter;
-    let classes = vertical_classes(db, &l2, meter);
-    stats.phases.push(PhaseStats {
-        label: PHASE_TRANSFORM.to_string(),
-        secs: t_transform.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_transform),
-    });
-    drop(span_transform);
+    if !l2.is_empty() {
+        // --- Phase 2 (transformation, §5.2.2): vertical tid-lists for L2.
+        let classes = phase(PHASE_TRANSFORM, &mut stats, meter, |meter| {
+            vertical_classes(db, &l2, meter)
+        });
 
-    // --- Phase 3 (asynchronous, §5.3).
-    let span_async = eclat_obs::trace::span(PHASE_ASYNC);
-    let t_async = Instant::now();
-    let ops_before_async = *meter;
-    let (found, class_stats) = mine_classes_with(classes, threshold, cfg, meter, threads, kernel);
-    out.merge(found);
-    stats.phases.push(PhaseStats {
-        label: PHASE_ASYNC.to_string(),
-        secs: t_async.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_async),
-    });
-    drop(span_async);
-    for cs in class_stats {
-        stats.add_class(cs);
+        // --- Phase 3 (asynchronous, §5.3): per-class mining.
+        kernel.prepare(&l2);
+        let kernel = &*kernel;
+        let (found, class_stats) = phase(PHASE_ASYNC, &mut stats, meter, |meter| {
+            mine_classes(classes, threshold, cfg, meter, threads, kernel)
+        });
+        out.merge(found);
+        for cs in class_stats {
+            stats.add_class(cs);
+        }
+        stats.sort_classes();
+
+        if let Some(reduce) = kernel.reduce() {
+            out = phase(PHASE_REDUCE, &mut stats, meter, |_| reduce(&out));
+        }
     }
-    stats.sort_classes();
     stats.num_frequent = out.len() as u64;
     stats.total_ops = meter.since(&start_ops);
     (out, stats)
@@ -514,20 +563,38 @@ mod tests {
 
     #[test]
     fn threads_match_serial_for_any_p() {
+        let mut kernels: [Box<dyn ClassKernel>; 3] = [
+            Box::new(Eclat),
+            Box::new(crate::clique::Clique::default()),
+            Box::new(crate::maximal::MaxEclat),
+        ];
         for (n, (db, pct, cfg)) in sweep_inputs().into_iter().enumerate() {
             let minsup = MinSupport::from_percent(pct);
-            let mut m_serial = OpMeter::new();
-            let expect = run(&db, minsup, &cfg, &mut m_serial, &Serial);
-            if db.num_transactions() > 0 {
-                assert!(m_serial.record > 0, "counting scans must be metered");
-                assert!(m_serial.pair_incr > 0, "triangular pass must be metered");
-            }
-            for p in PS {
-                let mut m = OpMeter::new();
-                let fs = run(&db, minsup, &cfg, &mut m, &Threads::new(p));
-                assert_eq!(fs, expect, "input {n} P={p}");
-                // Merged per-thread meters must equal the serial counts.
-                assert_eq!(m, m_serial, "input {n} P={p}");
+            for kernel in &mut kernels {
+                let name = kernel.algorithm();
+                let mut m_serial = OpMeter::new();
+                let (expect, _) = run_stats_on(
+                    &db,
+                    minsup,
+                    &cfg,
+                    &mut m_serial,
+                    &Serial,
+                    "x",
+                    kernel.as_mut(),
+                );
+                if db.num_transactions() > 0 {
+                    assert!(m_serial.record > 0, "counting scans must be metered");
+                    assert!(m_serial.pair_incr > 0, "triangular pass must be metered");
+                }
+                for p in PS {
+                    let mut m = OpMeter::new();
+                    let threads = Threads::new(p);
+                    let (fs, _) =
+                        run_stats_on(&db, minsup, &cfg, &mut m, &threads, "x", kernel.as_mut());
+                    assert_eq!(fs, expect, "{name} input {n} P={p}");
+                    // Merged per-thread meters must equal the serial counts.
+                    assert_eq!(m, m_serial, "{name} input {n} P={p}");
+                }
             }
         }
     }
@@ -611,12 +678,35 @@ mod tests {
         ]
     }
 
+    /// A test kernel mining below the recorded members with a plain
+    /// per-class function.
+    struct Below(
+        fn(EquivalenceClass, u32, &EclatConfig, &mut OpMeter, &mut FrequentSet, &mut KernelStats),
+    );
+
+    impl ClassKernel for Below {
+        fn mine_class(
+            &self,
+            class: EquivalenceClass,
+            threshold: u32,
+            cfg: &EclatConfig,
+            meter: &mut OpMeter,
+            out: &mut FrequentSet,
+            stats: &mut KernelStats,
+        ) {
+            record_members(&class, out);
+            (self.0)(class, threshold, cfg, meter, out, stats);
+        }
+    }
+
     #[test]
     fn every_kernel_matches_the_paper_tidlists() {
-        let bitmaps: ClassKernel =
-            |c, t, cfg, m, out, s| compute_frequent_stats(bitmap_class(c), t, cfg, m, out, s);
-        let diffsets: ClassKernel =
-            |c, t, cfg, m, out, s| compute_frequent_stats(diffset_class(c), t, cfg, m, out, s);
+        let bitmaps = Below(|c, t, cfg, m, out, s| {
+            compute_frequent_stats(bitmap_class(c), t, cfg, m, out, s)
+        });
+        let diffsets = Below(|c, t, cfg, m, out, s| {
+            compute_frequent_stats(diffset_class(c), t, cfg, m, out, s)
+        });
         let cfg = EclatConfig::default();
         for (side, db, pct) in kernel_inputs() {
             let threshold = MinSupport::from_percent(pct).count_threshold(db.num_transactions());
@@ -632,17 +722,17 @@ mod tests {
             assert!(expect_dense.contains(&dense), "{side}: {dense} of {n}");
             // The paper's tid-lists first, then each kernel under test, with
             // whether it mines some class on diffsets.
-            let kernels = [
-                (compute_frequent_stats::<TidList> as ClassKernel, false),
-                (compute_class_stats, dense < n),
-                (bitmaps, false),
-                (diffsets, true),
+            let kernels: [(&dyn ClassKernel, bool); 4] = [
+                (&PaperTidLists, false),
+                (&Eclat, dense < n),
+                (&bitmaps, false),
+                (&diffsets, true),
             ];
             let mut runs = Vec::new();
             for (kernel, on_diffsets) in kernels {
                 let m = &mut OpMeter::new();
                 let (got, stats) =
-                    mine_classes_with(classes.clone(), threshold, &cfg, m, &Serial, kernel);
+                    mine_classes(classes.clone(), threshold, &cfg, m, &Serial, kernel);
                 // A frequent join below L2 on a diffset class is a switch.
                 let switches: u64 = stats.iter().map(|c| c.kernel.switch_events).sum();
                 assert_eq!(switches > 0, on_diffsets, "{side} {pct}%");
@@ -754,5 +844,110 @@ mod tests {
         assert!(stats.levels.iter().any(|l| l.size == 1));
         let l2 = stats.levels.iter().find(|l| l.size == 2).unwrap();
         assert_eq!(l2.frequent, 0);
+    }
+
+    /// The paper's sequential Eclat with the default config.
+    fn eclat(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+        run(
+            db,
+            minsup,
+            &EclatConfig::default(),
+            &mut OpMeter::new(),
+            &Serial,
+        )
+    }
+
+    #[test]
+    fn toy_database_hand_check() {
+        let db = HorizontalDb::of(&[&[0, 1, 2], &[0, 1], &[0, 2], &[1, 2], &[0, 1, 2], &[3]]);
+        let fs = eclat(&db, MinSupport::from_fraction(0.5)); // threshold 3
+        assert_eq!(fs.support_of(&Itemset::of(&[0, 1])), Some(3));
+        assert_eq!(fs.support_of(&Itemset::of(&[0, 2])), Some(3));
+        assert_eq!(fs.support_of(&Itemset::of(&[1, 2])), Some(3));
+        assert_eq!(
+            fs.support_of(&Itemset::of(&[0, 1, 2])),
+            None,
+            "support 2 < 3"
+        );
+        assert_eq!(fs.len(), 3, "no singletons by default");
+    }
+
+    #[test]
+    fn agrees_with_brute_force() {
+        for seed in 0..5u64 {
+            let db = random_db(seed, 80, 12, 6);
+            for pct in [5.0, 10.0, 25.0] {
+                let minsup = MinSupport::from_percent(pct);
+                let ours = eclat(&db, minsup);
+                let truth: FrequentSet = apriori::reference::brute_force(&db, minsup)
+                    .iter()
+                    .filter(|(is, _)| is.len() >= 2)
+                    .map(|(is, s)| (is.clone(), s))
+                    .collect();
+                assert_eq!(ours, truth, "seed {seed} pct {pct}");
+            }
+        }
+    }
+
+    #[test]
+    fn agrees_with_apriori_including_singletons() {
+        let db = random_db(42, 150, 14, 6);
+        let minsup = MinSupport::from_percent(6.0);
+        let cfg = EclatConfig::with_singletons();
+        let ours = run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
+        let ap = apriori::mine(&db, minsup);
+        assert_eq!(ours, ap);
+        assert_eq!(ours.closure_violation(), None);
+    }
+
+    #[test]
+    fn all_config_combinations_agree() {
+        let db = random_db(7, 100, 12, 5);
+        let minsup = MinSupport::from_percent(8.0);
+        let base = eclat(&db, minsup);
+        for short_circuit in [true, false] {
+            for prune in [true, false] {
+                let cfg = EclatConfig {
+                    short_circuit,
+                    prune,
+                    ..Default::default()
+                };
+                assert_eq!(
+                    run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial),
+                    base,
+                    "sc={short_circuit} prune={prune}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_database_and_no_frequent_pairs() {
+        let empty = HorizontalDb::of(&[]);
+        assert!(eclat(&empty, MinSupport::from_percent(1.0)).is_empty());
+
+        // every item occurs once — no frequent pair at threshold 2
+        let sparse = HorizontalDb::of(&[&[0, 1], &[2, 3], &[4, 5]]);
+        let fs = eclat(&sparse, MinSupport::from_fraction(0.5));
+        assert!(fs.is_empty());
+    }
+
+    #[test]
+    fn meter_reports_the_three_scan_structure() {
+        let db = random_db(3, 60, 10, 5);
+        let mut meter = OpMeter::new();
+        let cfg = EclatConfig::default();
+        run(
+            &db,
+            MinSupport::from_percent(10.0),
+            &cfg,
+            &mut meter,
+            &Serial,
+        );
+        // two horizontal scans → record >= 2·|D|
+        assert!(meter.record >= 120);
+        assert!(meter.pair_incr > 0, "triangular pass happened");
+        assert!(meter.tid_cmp > 0, "intersections happened");
+        assert_eq!(meter.hash_probe, 0, "no hash tree anywhere in Eclat");
     }
 }

@@ -3,10 +3,17 @@
 //! MaxEclat's frontier — must agree, under every config combination.
 
 use dbstore::HorizontalDb;
+use eclat::pipeline::Serial;
 use eclat::{EclatConfig, ScheduleHeuristic};
 use mining_types::{FrequentSet, MinSupport, OpMeter};
 use proptest::prelude::*;
 use questgen::{QuestGenerator, QuestParams};
+
+/// Sequential Eclat with the default config.
+fn sequential_eclat(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+    let cfg = EclatConfig::default();
+    eclat::pipeline::run(db, minsup, &cfg, &mut OpMeter::new(), &Serial)
+}
 
 fn quest(d: usize, seed: u64) -> HorizontalDb {
     HorizontalDb::from_transactions(QuestGenerator::new(QuestParams::tiny(d, seed)).generate_all())
@@ -19,17 +26,20 @@ proptest! {
     fn all_variants_agree_on_quest_data(seed in 0u64..1000, pct in 1.0f64..6.0) {
         let db = quest(800, seed);
         let minsup = MinSupport::from_percent(pct);
-        let reference = eclat::sequential::mine(&db, minsup);
+        let reference = sequential_eclat(&db, minsup);
 
-        let mut meter = OpMeter::new();
-        let clique = eclat::clique::mine_with(&db, minsup, &EclatConfig::default(), &mut meter);
+        let cfg = EclatConfig::default();
+        let (clique, _) =
+            eclat::clique::mine(&db, minsup, &cfg, &mut OpMeter::new(), &Serial, "sequential");
         prop_assert_eq!(&clique, &reference, "clique clustering");
 
-        let par = eclat::pipeline::run(&db, minsup, &eclat::EclatConfig::default(), &mut mining_types::OpMeter::new(), &eclat::Threads::new(0));
+        let threads = eclat::Threads::new(0);
+        let par = eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &threads);
         prop_assert_eq!(&par, &reference, "parallel");
 
         // maximal frontier consistency
-        let max = eclat::maximal::mine_maximal(&db, minsup);
+        let (max, _) =
+            eclat::maximal::mine(&db, minsup, &cfg, &mut OpMeter::new(), &threads, "parallel");
         let oracle = eclat::maximal::maximal_of(&reference);
         prop_assert_eq!(&max, &oracle, "MaxEclat");
         // every frequent itemset is under some maximal one
@@ -45,7 +55,7 @@ proptest! {
     fn config_matrix_agrees(seed in 0u64..200, sc in any::<bool>(), prune in any::<bool>()) {
         let db = quest(500, seed);
         let minsup = MinSupport::from_percent(2.0);
-        let reference = eclat::sequential::mine(&db, minsup);
+        let reference = sequential_eclat(&db, minsup);
         let cfg = EclatConfig {
             short_circuit: sc,
             prune,
@@ -54,7 +64,7 @@ proptest! {
         };
         let mut meter = OpMeter::new();
         prop_assert_eq!(
-            eclat::sequential::mine_with(&db, minsup, &cfg, &mut meter),
+            eclat::pipeline::run(&db, minsup, &cfg, &mut meter, &Serial),
             reference
         );
     }
@@ -70,7 +80,7 @@ proptest! {
         let minsup = MinSupport::from_percent(2.0);
         let topo = memchannel::ClusterConfig::new(hosts, ppn);
         let cost = memchannel::CostModel::dec_alpha_1997();
-        let reference = eclat::sequential::mine(&db, minsup);
+        let reference = sequential_eclat(&db, minsup);
         let cfg = EclatConfig {
             buffer_bytes: buffer_kb * 1024,
             ..Default::default()
@@ -119,8 +129,8 @@ fn support_monotonicity() {
     // Raising the threshold can only shrink the answer, and surviving
     // supports are unchanged.
     let db = quest(1_000, 4);
-    let lo = eclat::sequential::mine(&db, MinSupport::from_percent(1.0));
-    let hi = eclat::sequential::mine(&db, MinSupport::from_percent(3.0));
+    let lo = sequential_eclat(&db, MinSupport::from_percent(1.0));
+    let hi = sequential_eclat(&db, MinSupport::from_percent(3.0));
     assert!(hi.len() < lo.len());
     for (is, sup) in hi.iter() {
         assert_eq!(lo.support_of(is), Some(sup), "{is}");

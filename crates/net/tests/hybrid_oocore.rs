@@ -17,8 +17,10 @@
 
 use apriori::reference::random_db;
 use dbstore::HorizontalDb;
+use eclat::pipeline::Serial;
+use eclat::EclatConfig;
 use eclat_net::{mine_distributed, start_worker, DistConfig, WorkerConfig};
-use mining_types::MinSupport;
+use mining_types::{MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
 
 fn hybrid_workers(w: usize, p: usize, mem_budget: Option<u64>) -> Vec<eclat_net::WorkerHandle> {
@@ -49,7 +51,13 @@ fn hybrid_and_spilled_runs_match_sequential_on_both_kernels() {
     let inputs = [("sparse", sparse, 0.5), ("dense", dense, 5.0)];
     for (label, db, pct) in inputs {
         let minsup = MinSupport::from_percent(pct);
-        let oracle = eclat::sequential::mine(&db, minsup);
+        let oracle = eclat::pipeline::run(
+            &db,
+            minsup,
+            &EclatConfig::default(),
+            &mut OpMeter::new(),
+            &Serial,
+        );
         for budget in [None, Some(0)] {
             let workers = hybrid_workers(2, 2, budget);
             let report = mine_distributed(&db, minsup, &addrs_of(&workers), &DistConfig::default())

@@ -11,8 +11,9 @@
 
 use apriori::reference::random_db;
 use dbstore::{BlockPartition, HorizontalDb};
-use eclat::pipeline::frequent_l2;
+use eclat::pipeline::{frequent_l2, Serial};
 use eclat::transform::{build_pair_tidlists, count_pairs, index_pairs};
+use eclat::EclatConfig;
 use eclat_net::exchange::{assemble, route_partials};
 use eclat_net::{mine_distributed, start_worker, DistConfig, WorkerConfig};
 use mining_types::{MinSupport, OpMeter};
@@ -102,7 +103,7 @@ proptest! {
     ) {
         let db = random_db(seed, 120, 16, 6);
         let minsup = MinSupport::from_percent(f64::from(pct));
-        let oracle = eclat::sequential::mine(&db, minsup);
+        let oracle = eclat::pipeline::run(&db, minsup, &EclatConfig::default(), &mut OpMeter::new(), &Serial);
 
         let workers: Vec<_> = (0..num_workers)
             .map(|_| start_worker(&WorkerConfig::default()).unwrap())

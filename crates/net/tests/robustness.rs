@@ -9,14 +9,22 @@
 //!   two concurrent runs with distinct run ids share a fleet cleanly.
 
 use apriori::reference::random_db;
-use dbstore::binfmt;
+use dbstore::{binfmt, HorizontalDb};
+use eclat::pipeline::Serial;
+use eclat::EclatConfig;
 use eclat_net::proto::{Message, MAX_NET_FRAME, PROTOCOL_VERSION};
 use eclat_net::{mine_distributed, start_worker, DistConfig, NetError, WorkerConfig};
-use mining_types::MinSupport;
+use mining_types::{FrequentSet, MinSupport, OpMeter};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 use wire::{read_frame, write_frame, Frame};
+
+/// Sequential Eclat with the default config.
+fn sequential_eclat(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+    let cfg = EclatConfig::default();
+    eclat::pipeline::run(db, minsup, &cfg, &mut OpMeter::new(), &Serial)
+}
 
 fn send_msg(stream: &mut TcpStream, msg: &Message) {
     write_frame(stream, &msg.encode()).unwrap();
@@ -148,7 +156,7 @@ fn malformed_frames_get_a_diagnostic_and_the_worker_survives() {
         &fast_dist_config(),
     )
     .unwrap();
-    assert_eq!(report.frequent, eclat::sequential::mine(&db, minsup));
+    assert_eq!(report.frequent, sequential_eclat(&db, minsup));
 }
 
 /// A scripted fake worker: handshakes, answers `Counts`, acknowledges
@@ -231,7 +239,7 @@ fn worker_silent_in_exchange_aborts_the_run_without_hanging() {
     // The surviving workers are reusable for a fresh run immediately.
     let minsup = MinSupport::from_percent(5.0);
     let report = mine_distributed(&db, minsup, &addrs[..2], &fast_dist_config()).unwrap();
-    assert_eq!(report.frequent, eclat::sequential::mine(&db, minsup));
+    assert_eq!(report.frequent, sequential_eclat(&db, minsup));
 }
 
 #[test]
@@ -301,8 +309,8 @@ fn concurrent_runs_with_distinct_ids_share_a_fleet() {
 
     let db_a = random_db(21, 100, 14, 6);
     let db_b = random_db(99, 130, 12, 5);
-    assert_eq!(fa, eclat::sequential::mine(&db_a, minsup));
-    assert_eq!(fb, eclat::sequential::mine(&db_b, minsup));
+    assert_eq!(fa, sequential_eclat(&db_a, minsup));
+    assert_eq!(fb, sequential_eclat(&db_b, minsup));
     assert_ne!(fa, fb, "the two runs mined different databases");
 }
 

@@ -404,11 +404,12 @@ mod tests {
         let db = apriori::reference::random_db(5, 200, 12, 6);
         let minsup = mining_types::MinSupport::from_percent(5.0);
         let mut meter = mining_types::OpMeter::new();
-        let fs = eclat::sequential::mine_with(
+        let fs = eclat::pipeline::run(
             &db,
             minsup,
             &eclat::EclatConfig::with_singletons(),
             &mut meter,
+            &eclat::pipeline::Serial,
         );
         let rules = generate(&fs, 0.6);
         for r in &rules {

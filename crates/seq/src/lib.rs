@@ -22,8 +22,9 @@
 //!   shape as the itemset pipeline, with `algorithm = "spade"`.
 //!
 //! ```
-//! use eclat_seq::{mine, SeqDb, SeqPattern};
-//! use mining_types::MinSupport;
+//! use eclat::pipeline::Serial;
+//! use eclat_seq::{mine_stats, SeqConfig, SeqDb, SeqPattern};
+//! use mining_types::{MinSupport, OpMeter};
 //!
 //! // Three customers; every one buys 2 and then 3.
 //! let db = SeqDb::of(&[
@@ -31,8 +32,11 @@
 //!     &[&[1], &[2], &[3]],
 //!     &[&[2], &[3]],
 //! ]);
-//! let fs = mine(&db, MinSupport::from_fraction(0.99), &eclat::pipeline::Serial);
+//! let minsup = MinSupport::from_fraction(0.99);
+//! let cfg = SeqConfig::default();
+//! let (fs, stats) = mine_stats(&db, minsup, &cfg, &mut OpMeter::new(), &Serial, "sequential");
 //! assert_eq!(fs[&SeqPattern::of(&[&[2], &[3]])], 3);
+//! assert_eq!(stats.algorithm, "spade");
 //! ```
 //!
 //! The oracle for all of this is [`reference::mine_reference`], a naive
@@ -49,7 +53,7 @@ pub mod stats;
 
 pub use db::SeqDb;
 pub use kernel::{AtomKind, FrequentSequences, SeqConfig, SeqMember};
-pub use mine::{mine, mine_stats, mine_with};
+pub use mine::mine_stats;
 pub use pairset::PairSet;
 pub use pattern::SeqPattern;
 pub use stats::{SeqStats, SEQ_SCHEMA_VERSION};

@@ -243,31 +243,10 @@ fn mine_class(
     (out, stats)
 }
 
-/// Mine `db` at `minsup` on `threads` with default settings.
-pub fn mine(db: &SeqDb, minsup: MinSupport, threads: &Threads) -> FrequentSequences {
-    mine_with(
-        db,
-        minsup,
-        &SeqConfig::default(),
-        &mut OpMeter::new(),
-        threads,
-    )
-}
-
-/// [`mine`] with explicit config and operation metering.
-pub fn mine_with(
-    db: &SeqDb,
-    minsup: MinSupport,
-    cfg: &SeqConfig,
-    meter: &mut OpMeter,
-    threads: &Threads,
-) -> FrequentSequences {
-    mine_stats(db, minsup, cfg, meter, threads, "sequential").0
-}
-
-/// [`mine_with`] that also produces the structured [`MiningStats`]
-/// report (`algorithm = "spade"`): per-phase wall-clock/op deltas,
-/// per-level candidate/frequent counts, per-class kernel work.
+/// Mine `db` at `minsup` on `threads`, with the structured
+/// [`MiningStats`] report (`algorithm = "spade"`, labelled `variant`):
+/// per-phase wall-clock/op deltas, per-level candidate/frequent counts,
+/// per-class kernel work.
 pub fn mine_stats(
     db: &SeqDb,
     minsup: MinSupport,
@@ -363,6 +342,26 @@ mod tests {
     use super::*;
     use eclat::pipeline::Serial;
 
+    fn spade(db: &SeqDb, minsup: MinSupport) -> FrequentSequences {
+        spade_with(
+            db,
+            minsup,
+            &SeqConfig::default(),
+            &mut OpMeter::new(),
+            &Serial,
+        )
+    }
+
+    fn spade_with(
+        db: &SeqDb,
+        minsup: MinSupport,
+        cfg: &SeqConfig,
+        meter: &mut OpMeter,
+        threads: &Threads,
+    ) -> FrequentSequences {
+        mine_stats(db, minsup, cfg, meter, threads, "sequential").0
+    }
+
     /// The module-doc example database: three customers.
     fn sample() -> SeqDb {
         SeqDb::of(&[
@@ -375,7 +374,7 @@ mod tests {
     #[test]
     fn mines_expected_patterns_on_sample() {
         let db = sample();
-        let fs = mine(&db, MinSupport::from_fraction(0.99), &Serial);
+        let fs = spade(&db, MinSupport::from_fraction(0.99));
         // All three customers: items 1, 2, 3 and the sequences they
         // share. 2 → 3 holds in all sids; {1,2} only in sid 0.
         assert_eq!(fs[&SeqPattern::single(ItemId(1))], 3);
@@ -389,7 +388,7 @@ mod tests {
     #[test]
     fn repeats_are_found() {
         let db = SeqDb::of(&[&[&[5], &[5]], &[&[5], &[0], &[5]]]);
-        let fs = mine(&db, MinSupport::from_fraction(0.99), &Serial);
+        let fs = spade(&db, MinSupport::from_fraction(0.99));
         assert_eq!(fs[&SeqPattern::of(&[&[5], &[5]])], 2);
     }
 
@@ -399,11 +398,11 @@ mod tests {
         let minsup = MinSupport::from_percent(50.0);
         let cfg = SeqConfig::default();
         let mut m_serial = OpMeter::new();
-        let expect = mine_with(&db, minsup, &cfg, &mut m_serial, &Serial);
+        let expect = spade_with(&db, minsup, &cfg, &mut m_serial, &Serial);
         for p in [1, 2, 3, 8] {
             let mut m = OpMeter::new();
             assert_eq!(
-                mine_with(&db, minsup, &cfg, &mut m, &Threads::new(p)),
+                spade_with(&db, minsup, &cfg, &mut m, &Threads::new(p)),
                 expect,
                 "P={p}"
             );
@@ -415,13 +414,13 @@ mod tests {
     fn maxlen_caps_pattern_length() {
         let db = sample();
         let minsup = MinSupport::from_percent(50.0);
-        let full = mine(&db, minsup, &Serial);
+        let full = spade(&db, minsup);
         for maxlen in 1..=4u32 {
             let cfg = SeqConfig {
                 maxlen: Some(maxlen),
                 ..SeqConfig::default()
             };
-            let capped = mine_with(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
+            let capped = spade_with(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
             let expect: FrequentSequences = full
                 .iter()
                 .filter(|(p, _)| p.len_items() <= maxlen as usize)
@@ -488,7 +487,7 @@ mod tests {
     #[test]
     fn empty_database_yields_nothing() {
         let db = SeqDb::of(&[]);
-        assert!(mine(&db, MinSupport::from_percent(10.0), &Serial).is_empty());
+        assert!(spade(&db, MinSupport::from_percent(10.0)).is_empty());
         let (fs, stats) = mine_stats(
             &db,
             MinSupport::from_percent(10.0),

@@ -76,12 +76,13 @@ fn fixed_seed_run_is_pinned() {
         maxlen: Some(2),
         ..SeqConfig::default()
     };
-    let capped = eclat_seq::mine_with(
+    let (capped, _) = mine_stats(
         &db,
         MinSupport::from_percent(20.0),
         &cfg,
         &mut OpMeter::new(),
         &Serial,
+        "sequential",
     );
     let expect: FrequentSequences = fs
         .iter()

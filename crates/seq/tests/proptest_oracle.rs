@@ -5,9 +5,29 @@
 //! support monotonicity.
 
 use eclat::pipeline::{Serial, Threads};
-use eclat_seq::{mine, mine_with, reference, SeqConfig, SeqDb};
+use eclat_seq::{mine_stats, reference, FrequentSequences, SeqConfig, SeqDb};
 use mining_types::{MinSupport, OpMeter};
 use proptest::prelude::*;
+
+fn spade(db: &SeqDb, minsup: MinSupport) -> FrequentSequences {
+    spade_with(
+        db,
+        minsup,
+        &SeqConfig::default(),
+        &mut OpMeter::new(),
+        &Serial,
+    )
+}
+
+fn spade_with(
+    db: &SeqDb,
+    minsup: MinSupport,
+    cfg: &SeqConfig,
+    meter: &mut OpMeter,
+    threads: &Threads,
+) -> FrequentSequences {
+    mine_stats(db, minsup, cfg, meter, threads, "sequential").0
+}
 
 /// Random sequence database: up to 14 sequences of up to 8 events over
 /// a 10-item alphabet. Events are normalized (sorted, deduped) and
@@ -41,7 +61,7 @@ proptest! {
     fn spade_matches_the_reference_miner(raw in raw_db(), pct in 5.0f64..80.0) {
         let db = SeqDb::from_events(raw);
         let minsup = MinSupport::from_percent(pct);
-        let spade = mine(&db, minsup, &Serial);
+        let spade = spade(&db, minsup);
         let oracle = reference::mine_reference(&db, minsup, None);
         prop_assert_eq!(spade, oracle);
     }
@@ -51,7 +71,7 @@ proptest! {
         let db = SeqDb::from_events(raw);
         let minsup = MinSupport::from_percent(20.0);
         let cfg = SeqConfig { maxlen: Some(maxlen), ..SeqConfig::default() };
-        let spade = mine_with(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
+        let spade = spade_with(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
         let oracle = reference::mine_reference(&db, minsup, Some(maxlen));
         prop_assert_eq!(spade, oracle);
     }
@@ -62,11 +82,11 @@ proptest! {
         let minsup = MinSupport::from_percent(pct);
         let cfg = SeqConfig::default();
         let mut m_serial = OpMeter::new();
-        let expect = mine_with(&db, minsup, &cfg, &mut m_serial, &Serial);
+        let expect = spade_with(&db, minsup, &cfg, &mut m_serial, &Serial);
         for p in [procs, 8] {
             let mut m_threads = OpMeter::new();
             prop_assert_eq!(
-                &mine_with(&db, minsup, &cfg, &mut m_threads, &Threads::new(p)),
+                &spade_with(&db, minsup, &cfg, &mut m_threads, &Threads::new(p)),
                 &expect
             );
             prop_assert_eq!(m_threads, m_serial);
@@ -76,8 +96,8 @@ proptest! {
     #[test]
     fn support_is_monotone_in_minsup(raw in raw_db()) {
         let db = SeqDb::from_events(raw);
-        let lo = mine(&db, MinSupport::from_percent(10.0), &Serial);
-        let hi = mine(&db, MinSupport::from_percent(50.0), &Serial);
+        let lo = spade(&db, MinSupport::from_percent(10.0));
+        let hi = spade(&db, MinSupport::from_percent(50.0));
         prop_assert!(hi.len() <= lo.len());
         for (p, &s) in &hi {
             prop_assert_eq!(lo.get(p), Some(&s), "{} changed support", p);
@@ -87,7 +107,7 @@ proptest! {
     #[test]
     fn every_reported_support_is_a_true_containment_count(raw in raw_db()) {
         let db = SeqDb::from_events(raw);
-        let fs = mine(&db, MinSupport::from_percent(25.0), &Serial);
+        let fs = spade(&db, MinSupport::from_percent(25.0));
         for (p, &s) in &fs {
             prop_assert_eq!(reference::support_of(&db, p), s, "{}", p);
         }

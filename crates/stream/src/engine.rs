@@ -59,7 +59,7 @@ impl MinedState {
     ) -> MinedState {
         let mut cfg = cfg.clone();
         cfg.include_singletons = true;
-        let frequent = eclat::sequential::mine_with(db, minsup, &cfg, &mut OpMeter::new());
+        let frequent = pipeline::run(db, minsup, &cfg, &mut OpMeter::new(), &pipeline::Serial);
         let rules = assoc_rules::generate(&frequent, confidence);
         MinedState {
             num_transactions: db.num_transactions() as u32,
@@ -310,8 +310,14 @@ impl StreamEngine {
                 }
             }
             let classes = classes_of_l2(dirty_pairs);
-            let (remined, _) =
-                pipeline::mine_classes(classes, threshold, &self.cfg, &mut self.meter, threads);
+            let (remined, _) = pipeline::mine_classes(
+                classes,
+                threshold,
+                &self.cfg,
+                &mut self.meter,
+                threads,
+                &pipeline::Eclat,
+            );
             // Every itemset mined from class `a` starts with item `a`,
             // so the merged result set splits back by first item.
             for c in remined.sorted() {

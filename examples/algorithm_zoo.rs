@@ -6,6 +6,8 @@
 //! cargo run --example algorithm_zoo --release
 //! ```
 
+use eclat::pipeline::Serial;
+use eclat::EclatConfig;
 use eclat_repro::prelude::*;
 use mining_types::{FrequentSet, OpMeter};
 use std::time::Instant;
@@ -23,6 +25,7 @@ fn main() {
     let db = HorizontalDb::from_transactions(QuestGenerator::new(params).generate_all());
     let minsup = MinSupport::from_percent(0.2);
 
+    let cfg = EclatConfig::default();
     let mut reference: Option<FrequentSet> = None;
     let mut timed = |name: &str, lineage: &str, f: &mut dyn FnMut() -> FrequentSet| {
         let t0 = Instant::now();
@@ -40,25 +43,25 @@ fn main() {
     };
 
     timed("Eclat (sequential)", "the paper, §5", &mut || {
-        eclat::sequential::mine(&db, minsup)
+        eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial)
     });
     timed("Eclat (parallel)", "the paper on modern cores", &mut || {
         eclat::pipeline::run(
             &db,
             minsup,
-            &eclat::EclatConfig::default(),
-            &mut mining_types::OpMeter::new(),
+            &cfg,
+            &mut OpMeter::new(),
             &eclat::Threads::new(0),
         )
     });
     timed("Eclat (tid-lists)", "the paper's §4.2 kernel", &mut || {
         // Every class on plain tid-lists; the miners above pick bitmaps
         // or d-Eclat diffsets (§9) per class from its density.
-        let cfg = eclat::EclatConfig::default();
         eclat::pipeline::run_tidlist_stats(&db, minsup, &cfg, &mut OpMeter::new()).0
     });
     timed("Clique clustering", "reference [18]", &mut || {
-        eclat::clique::mine(&db, minsup)
+        let m = &mut OpMeter::new();
+        eclat::clique::mine(&db, minsup, &cfg, m, &Serial, "sequential").0
     });
     timed("Apriori", "reference [4], §2", &mut || {
         apriori::mine(&db, minsup)
@@ -94,7 +97,8 @@ fn main() {
 
     // Maximal frequent itemsets.
     let t0 = Instant::now();
-    let maximal = eclat::maximal::mine_maximal(&db, minsup);
+    let m = &mut OpMeter::new();
+    let (maximal, _) = eclat::maximal::mine(&db, minsup, &cfg, m, &Serial, "sequential");
     println!(
         "{:<26} {:>7.2}s   {:<6} maximal sets  [MaxEclat, ref [18]]",
         "MaxEclat",

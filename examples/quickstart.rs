@@ -5,6 +5,7 @@
 //! cargo run --example quickstart --release
 //! ```
 
+use eclat::pipeline::Serial;
 use eclat_repro::prelude::*;
 use mining_types::OpMeter;
 
@@ -26,11 +27,12 @@ fn main() {
     // downward closed so rule generation can look up every subset.
     let minsup = MinSupport::from_percent(2.0);
     let mut meter = OpMeter::new();
-    let frequent = eclat::sequential::mine_with(
+    let frequent = eclat::pipeline::run(
         &db,
         minsup,
         &eclat::EclatConfig::with_singletons(),
         &mut meter,
+        &Serial,
     );
     println!(
         "frequent itemsets: {} (largest has {} items; {} tid comparisons)",

@@ -55,6 +55,20 @@ cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t20.ech" \
     --support 1 --algorithm parallel "${whole[@]}" > "$tmpdir/mine_t20_par_all.out"
 diff <(tail -n +2 "$tmpdir/mine_t20_all.out") <(tail -n +2 "$tmpdir/mine_t20_par_all.out")
 
+echo "==> mine --algorithm clique|apriori == mine; --maximal parallel == --maximal (t10)"
+# Every algorithm reports itemsets of size >= 2, so whole-set bodies
+# match; --maximal --algorithm parallel runs MaxEclat on every core.
+for algo in clique apriori; do
+    cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+        --support 0.25 --algorithm "$algo" "${whole[@]}" > "$tmpdir/mine_${algo}_all.out"
+    diff <(tail -n +2 "$tmpdir/mine_all.out") <(tail -n +2 "$tmpdir/mine_${algo}_all.out")
+done
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --maximal "${whole[@]}" > "$tmpdir/max_all.out"
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --maximal --algorithm parallel "${whole[@]}" > "$tmpdir/max_par_all.out"
+diff <(tail -n +2 "$tmpdir/max_all.out") <(tail -n +2 "$tmpdir/max_par_all.out")
+
 echo "==> dmine --spawn-local 2 --threads 2 == mine (hybrid W x P workers)"
 cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
     --support 0.25 --spawn-local 2 --threads 2 > "$tmpdir/dmine_hybrid.out"
@@ -156,11 +170,11 @@ grep -q "\[verified\]" "$tmpdir/seq.out"
 
 echo "==> eclat seq: parallel thread counts byte-identical to serial"
 cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/c10.ecs" \
-    --minsup 6 --policy rayon > "$tmpdir/seq_rayon.out"
+    --minsup 6 --policy threads > "$tmpdir/seq_cores.out"
 cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/c10.ecs" \
     --minsup 6 --policy threads:3 > "$tmpdir/seq_threads.out"
-diff <(tail -n +2 "$tmpdir/seq.out") <(tail -n +2 "$tmpdir/seq_rayon.out")
-diff <(tail -n +2 "$tmpdir/seq_rayon.out") <(tail -n +2 "$tmpdir/seq_threads.out")
+diff <(tail -n +2 "$tmpdir/seq.out") <(tail -n +2 "$tmpdir/seq_cores.out")
+diff <(tail -n +2 "$tmpdir/seq_cores.out") <(tail -n +2 "$tmpdir/seq_threads.out")
 
 echo "==> seqbench --smoke (SPADE serial vs threads + maxlen ablation, equality-asserted)"
 cargo run -q --release -p repro-bench --bin seqbench -- --smoke \

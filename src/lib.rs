@@ -16,15 +16,17 @@
 //! let txns = QuestGenerator::new(params).generate_all();
 //! let db = HorizontalDb::from_transactions(txns);
 //!
-//! // 2. Mine frequent itemsets with sequential Eclat at 1 % support
-//! //    (singletons included so the result is downward closed).
+//! // 2. Mine frequent itemsets with sequential Eclat (the three-phase
+//! //    driver on one thread) at 1 % support, singletons included so the
+//! //    result is downward closed.
 //! let minsup = MinSupport::from_percent(1.0);
 //! let mut meter = mining_types::OpMeter::new();
-//! let frequent = eclat::sequential::mine_with(
+//! let frequent = eclat::pipeline::run(
 //!     &db,
 //!     minsup,
 //!     &eclat::EclatConfig::with_singletons(),
 //!     &mut meter,
+//!     &eclat::pipeline::Serial,
 //! );
 //! assert!(!frequent.is_empty());
 //!

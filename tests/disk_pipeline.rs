@@ -4,8 +4,16 @@
 //! in-memory run; plus the vertical files of the transformation phase.
 
 use dbstore::{HorizontalDb, PartitionStore, VerticalDb};
-use mining_types::{ItemId, MinSupport};
+use eclat::pipeline::Serial;
+use eclat::EclatConfig;
+use mining_types::{FrequentSet, ItemId, MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
+
+/// Sequential Eclat with the default config.
+fn sequential_eclat(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+    let cfg = EclatConfig::default();
+    eclat::pipeline::run(db, minsup, &cfg, &mut OpMeter::new(), &Serial)
+}
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("eclat-it-{tag}-{}", std::process::id()));
@@ -36,8 +44,8 @@ fn mining_from_disk_store_matches_in_memory() {
 
     let minsup = MinSupport::from_percent(1.0);
     assert_eq!(
-        eclat::sequential::mine(&from_disk, minsup),
-        eclat::sequential::mine(&db, minsup)
+        sequential_eclat(&from_disk, minsup),
+        sequential_eclat(&db, minsup)
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -2,8 +2,16 @@
 //! (the things EXPERIMENTS.md reports), at test-friendly scale.
 
 use dbstore::HorizontalDb;
-use mining_types::MinSupport;
+use eclat::pipeline::Serial;
+use eclat::EclatConfig;
+use mining_types::{FrequentSet, MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
+
+/// Sequential Eclat with the default config.
+fn sequential_eclat(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+    let cfg = EclatConfig::default();
+    eclat::pipeline::run(db, minsup, &cfg, &mut OpMeter::new(), &Serial)
+}
 
 fn quest(d: usize) -> HorizontalDb {
     HorizontalDb::from_transactions(QuestGenerator::new(QuestParams::t10_i6(d)).generate_all())
@@ -12,7 +20,7 @@ fn quest(d: usize) -> HorizontalDb {
 #[test]
 fn figure6_shape_unimodal_with_geometric_tail() {
     let db = quest(5_000);
-    let fs = eclat::sequential::mine(&db, MinSupport::from_percent(0.1));
+    let fs = sequential_eclat(&db, MinSupport::from_percent(0.1));
     let counts = fs.counts_by_size(); // index 0 = size 1 (zero here)
     assert_eq!(counts[0], 0, "Eclat reports no singletons");
     let sizes: Vec<usize> = counts[1..].to_vec();
@@ -50,8 +58,8 @@ fn smaller_database_has_more_frequent_itemsets_at_fixed_percent() {
     // §8.1: "Even though T10.I6.D800K is half the size of
     // T10.I6.D1600K, it has more than twice as many frequent itemsets"
     // (at fixed 0.1 %). The monotone form holds at any scale pair.
-    let small = eclat::sequential::mine(&quest(4_000), MinSupport::from_percent(0.1)).len();
-    let large = eclat::sequential::mine(&quest(16_000), MinSupport::from_percent(0.1)).len();
+    let small = sequential_eclat(&quest(4_000), MinSupport::from_percent(0.1)).len();
+    let large = sequential_eclat(&quest(16_000), MinSupport::from_percent(0.1)).len();
     assert!(
         small > large,
         "D4K → {small} itemsets should exceed D16K → {large}"

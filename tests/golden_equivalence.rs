@@ -8,10 +8,17 @@
 //! not just toy matrices.
 
 use dbstore::HorizontalDb;
-use eclat::{pipeline, EclatConfig};
+use eclat::pipeline::{self, Serial};
+use eclat::EclatConfig;
 use memchannel::{ClusterConfig, CostModel};
 use mining_types::{FrequentSet, MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams};
+
+/// Sequential Eclat with the default config.
+fn sequential_eclat(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+    let cfg = EclatConfig::default();
+    eclat::pipeline::run(db, minsup, &cfg, &mut OpMeter::new(), &Serial)
+}
 
 fn quest_db(d: usize, seed: u64) -> HorizontalDb {
     HorizontalDb::from_transactions(QuestGenerator::new(QuestParams::tiny(d, seed)).generate_all())
@@ -36,10 +43,13 @@ fn assert_every_eclat_path_agrees(label: &str, db: &HorizontalDb, minsup: MinSup
         ("apriori", strip_singletons(&apriori::mine(db, minsup))),
         (
             "sequential",
-            eclat::sequential::mine_with(db, minsup, &cfg, m),
+            eclat::pipeline::run(db, minsup, &cfg, m, &Serial),
         ),
         ("parallel", pipeline::run(db, minsup, &cfg, m, &threads)),
-        ("clique", eclat::clique::mine_with(db, minsup, &cfg, m)),
+        (
+            "clique",
+            eclat::clique::mine(db, minsup, &cfg, m, &Serial, "sequential").0,
+        ),
         (
             "cluster",
             eclat::cluster::mine_cluster(db, minsup, &topo, &cost, &cfg).frequent,
@@ -75,7 +85,7 @@ fn all_miners_agree_on_quest_data() {
     );
     let reference = strip_singletons(&apriori_full);
 
-    let eclat_seq = eclat::sequential::mine(&db, minsup);
+    let eclat_seq = sequential_eclat(&db, minsup);
     assert_eq!(eclat_seq, reference, "sequential Eclat");
 
     let eclat_par = eclat::pipeline::run(
@@ -106,7 +116,7 @@ fn all_miners_agree_across_supports_and_seeds() {
         let db = quest_db(1_500, seed);
         for pct in [0.8, 2.0, 5.0] {
             let minsup = MinSupport::from_percent(pct);
-            let reference = eclat::sequential::mine(&db, minsup);
+            let reference = sequential_eclat(&db, minsup);
             assert_eq!(
                 eclat::pipeline::run(
                     &db,
@@ -132,7 +142,7 @@ fn every_topology_and_heuristic_agrees() {
     let db = quest_db(2_000, 5);
     let minsup = MinSupport::from_percent(1.5);
     let cost = CostModel::dec_alpha_1997();
-    let reference = eclat::sequential::mine(&db, minsup);
+    let reference = sequential_eclat(&db, minsup);
     for topo in [
         ClusterConfig::new(1, 1),
         ClusterConfig::new(3, 1),
@@ -210,7 +220,15 @@ fn maximal_mining_agrees_across_representations() {
                 short_circuit,
                 ..Default::default()
             };
-            let got = eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new());
+            let got = eclat::maximal::mine(
+                &db,
+                minsup,
+                &cfg,
+                &mut OpMeter::new(),
+                &Serial,
+                "sequential",
+            )
+            .0;
             assert_eq!(got, reference, "{label} sc {short_circuit}");
         }
     }
@@ -221,7 +239,13 @@ fn downward_closure_on_quest_output() {
     let db = quest_db(2_500, 1);
     let minsup = MinSupport::from_percent(1.0);
     let mut meter = OpMeter::new();
-    let fs = eclat::sequential::mine_with(&db, minsup, &EclatConfig::with_singletons(), &mut meter);
+    let fs = eclat::pipeline::run(
+        &db,
+        minsup,
+        &EclatConfig::with_singletons(),
+        &mut meter,
+        &Serial,
+    );
     assert_eq!(fs.closure_violation(), None);
 }
 
@@ -230,7 +254,7 @@ fn supports_match_direct_counting() {
     // Every reported support must equal a from-scratch scan count.
     let db = quest_db(1_000, 8);
     let minsup = MinSupport::from_percent(2.0);
-    let fs = eclat::sequential::mine(&db, minsup);
+    let fs = sequential_eclat(&db, minsup);
     assert!(!fs.is_empty());
     for (is, sup) in fs.iter() {
         let direct = db.iter().filter(|(_, t)| is.is_subset_of_sorted(t)).count() as u32;

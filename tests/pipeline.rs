@@ -2,6 +2,7 @@
 //! mine → rules — the full life of a database through the public API.
 
 use dbstore::{binfmt, BlockPartition, HorizontalDb, VerticalDb};
+use eclat::pipeline::Serial;
 use mining_types::{MinSupport, OpMeter};
 use questgen::{DatabaseStats, QuestGenerator, QuestParams};
 
@@ -40,11 +41,12 @@ fn generate_serialize_mine_rules() {
     // 4. Mine (with singletons so rules can be generated).
     let minsup = MinSupport::from_percent(1.5);
     let mut meter = OpMeter::new();
-    let frequent = eclat::sequential::mine_with(
+    let frequent = eclat::pipeline::run(
         &db2,
         minsup,
         &eclat::EclatConfig::with_singletons(),
         &mut meter,
+        &Serial,
     );
     assert!(frequent.max_size() >= 2);
 

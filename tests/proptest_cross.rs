@@ -5,10 +5,17 @@
 
 use apriori::reference::brute_force;
 use dbstore::HorizontalDb;
-use eclat::{pipeline, EclatConfig};
+use eclat::pipeline::{self, Serial};
+use eclat::EclatConfig;
 use memchannel::{ClusterConfig, CostModel};
 use mining_types::{FrequentSet, ItemId, MinSupport, OpMeter};
 use proptest::prelude::*;
+
+/// Sequential Eclat with the default config.
+fn sequential_eclat(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
+    let cfg = EclatConfig::default();
+    eclat::pipeline::run(db, minsup, &cfg, &mut OpMeter::new(), &Serial)
+}
 
 fn arb_db() -> impl Strategy<Value = HorizontalDb> {
     // up to 60 transactions over up to 12 items
@@ -71,7 +78,7 @@ proptest! {
         let ap = apriori::mine(&db, minsup);
         prop_assert_eq!(&ap, &truth);
 
-        let ec = eclat::sequential::mine(&db, minsup);
+        let ec = sequential_eclat(&db, minsup);
         prop_assert_eq!(&ec, &strip_singletons(&truth));
 
         let par = eclat::pipeline::run(&db, minsup, &eclat::EclatConfig::default(), &mut mining_types::OpMeter::new(), &eclat::Threads::new(0));
@@ -83,7 +90,7 @@ proptest! {
         let minsup = MinSupport::from_percent(pct);
         let topo = ClusterConfig::new(hosts, ppn);
         let cost = CostModel::dec_alpha_1997();
-        let reference = eclat::sequential::mine(&db, minsup);
+        let reference = sequential_eclat(&db, minsup);
 
         let cl = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &Default::default());
         prop_assert_eq!(&cl.frequent, &reference);
@@ -108,11 +115,11 @@ proptest! {
             prop_assert_eq!(&reference, &strip_singletons(&truth));
             prop_assert_eq!(&apriori::mine(&db, minsup), &truth);
             let cfg = EclatConfig::default();
-            let seq = eclat::sequential::mine_with(&db, minsup, &cfg, &mut OpMeter::new());
+            let seq = eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
             prop_assert_eq!(&seq, &reference, "sequential");
             let par = eclat::pipeline::run(&db, minsup, &cfg, &mut OpMeter::new(), &eclat::Threads::new(0));
             prop_assert_eq!(&par, &reference, "parallel");
-            let cq = eclat::clique::mine_with(&db, minsup, &cfg, &mut OpMeter::new());
+            let cq = eclat::clique::mine(&db, minsup, &cfg, &mut OpMeter::new(), &Serial, "sequential").0;
             prop_assert_eq!(&cq, &reference, "clique");
         }
     }
@@ -129,7 +136,7 @@ proptest! {
                     short_circuit,
                     ..Default::default()
                 };
-                let got = eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new());
+                let got = eclat::maximal::mine(&db, minsup, &cfg, &mut OpMeter::new(), &Serial, "sequential").0;
                 prop_assert_eq!(&got, &oracle, "sc={}", short_circuit);
             }
         }

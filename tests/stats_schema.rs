@@ -16,6 +16,7 @@
 use assoc_serve::stats::SERVE_SCHEMA_VERSION;
 use assoc_serve::{CacheStats, QueryStat, ServeStats, ServerCounters};
 use dbstore::HorizontalDb;
+use eclat::pipeline::Serial;
 use eclat::EclatConfig;
 use memchannel::{ClusterConfig, CostModel};
 use mining_types::json::collect_keys;
@@ -189,7 +190,14 @@ fn live_run_schema_is_pinned() {
     let db = quest_db(1_500, 7);
     let minsup = MinSupport::from_percent(1.0);
     let cfg = EclatConfig::default();
-    let (_, stats) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut OpMeter::new());
+    let (_, stats) = eclat::pipeline::run_stats(
+        &db,
+        minsup,
+        &cfg,
+        &mut OpMeter::new(),
+        &Serial,
+        "sequential",
+    );
     assert!(!stats.classes.is_empty(), "fixture too small: no classes");
     assert!(stats.levels.len() >= 2, "fixture too small: pairs only");
     let json = stats.to_json(true);
@@ -201,6 +209,56 @@ fn live_run_schema_is_pinned() {
         "live-run schema drifted: update the pinned key list and bump \
          SCHEMA_VERSION"
     );
+}
+
+/// Every per-class kernel of the live driver fills the live schema under
+/// its own `algorithm` label: Eclat, Clique, and MaxEclat with its
+/// extra reduce phase.
+#[test]
+fn every_live_kernel_schema_is_pinned() {
+    let db = quest_db(1_500, 7);
+    let minsup = MinSupport::from_percent(1.0);
+    let cfg = EclatConfig::default();
+    let m = &mut OpMeter::new();
+    let runs = [
+        (
+            "eclat",
+            eclat::pipeline::run_stats(&db, minsup, &cfg, m, &Serial, "sequential").1,
+        ),
+        (
+            "clique",
+            eclat::clique::mine(&db, minsup, &cfg, m, &Serial, "sequential").1,
+        ),
+        (
+            "maxeclat",
+            eclat::maximal::mine(&db, minsup, &cfg, m, &Serial, "sequential").1,
+        ),
+    ];
+    for (algorithm, stats) in runs {
+        assert!(!stats.classes.is_empty(), "{algorithm}: no classes");
+        assert!(
+            stats.kernel_totals().joins > 0,
+            "{algorithm}: no kernel work"
+        );
+        let json = stats.to_json(true);
+        let head = format!(
+            "{{\"schema_version\":{SCHEMA_VERSION},\"algorithm\":\"{algorithm}\",\
+             \"variant\":\"sequential\",\"representation\":\"auto\","
+        );
+        assert!(json.starts_with(&head), "{json}");
+        assert_eq!(
+            collect_keys(&json),
+            LIVE_KEYS.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            "{algorithm} schema drifted: update the pinned key list and bump \
+             SCHEMA_VERSION"
+        );
+        let phases: Vec<&str> = stats.phases.iter().map(|p| p.label.as_str()).collect();
+        let mut expect = vec!["init", "transform", "async"];
+        if algorithm == "maxeclat" {
+            expect.push("reduce");
+        }
+        assert_eq!(phases, expect, "{algorithm}");
+    }
 }
 
 #[test]
@@ -258,7 +316,14 @@ fn all_variants_share_the_schema() {
     let cost = CostModel::dec_alpha_1997();
     let topo = ClusterConfig::new(2, 2);
 
-    let (_, seq) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut OpMeter::new());
+    let (_, seq) = eclat::pipeline::run_stats(
+        &db,
+        minsup,
+        &cfg,
+        &mut OpMeter::new(),
+        &Serial,
+        "sequential",
+    );
     let (_, par) = eclat::pipeline::run_stats(
         &db,
         minsup,
@@ -537,7 +602,8 @@ fn parallel_stats_match_sequential() {
     let cfg = EclatConfig::default();
     let mut m_seq = OpMeter::new();
     let mut m_par = OpMeter::new();
-    let (fs_seq, seq) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut m_seq);
+    let (fs_seq, seq) =
+        eclat::pipeline::run_stats(&db, minsup, &cfg, &mut m_seq, &Serial, "sequential");
     let (fs_par, par) = eclat::pipeline::run_stats(
         &db,
         minsup,
