@@ -107,7 +107,7 @@ use eclat::clique::Clique;
 use eclat::maximal::MaxEclat;
 use eclat::pipeline::{self, ClassKernel, Eclat, Serial, Threads};
 use memchannel::{ClusterConfig, CostModel};
-use mining_types::{FrequentSet, MinSupport, OpMeter};
+use mining_types::{FrequentSet, Itemset, MinSupport, OpMeter};
 use questgen::{QuestGenerator, QuestParams, SeqGenerator, SeqParams};
 use std::fmt::Write as _;
 use std::fs::File;
@@ -332,8 +332,10 @@ fn mine_plan(algorithm: &str, maximal: bool) -> Result<Option<MinePlan>, String>
     }))
 }
 
-/// Per-size counts plus the top-supported itemsets — shared by `mine`
-/// and `dmine` so their reports are identical after the headline.
+/// Per-size counts plus the `top` itemsets of at least `min_size` items
+/// by support (descending, ties by itemset ascending) — shared by `mine`
+/// and `dmine` so their reports are identical after the headline. The
+/// rows are selected among references, so only they get sorted.
 fn render_frequent_body(fs: &FrequentSet, min_size: usize, top: usize) -> String {
     let mut out = String::new();
     let counts = fs.counts_by_size();
@@ -342,18 +344,19 @@ fn render_frequent_body(fs: &FrequentSet, min_size: usize, top: usize) -> String
             let _ = writeln!(out, "  size {:>2}: {c}", k + 1);
         }
     }
-    let mut shown = 0usize;
     let _ = writeln!(out, "top by support (size >= {min_size}):");
-    let mut sorted = fs.sorted();
-    sorted.sort_by(|a, b| b.support.cmp(&a.support).then(a.itemset.cmp(&b.itemset)));
-    for c in sorted {
-        if c.itemset.len() >= min_size {
-            let _ = writeln!(out, "  {:<40} {:>8}", format!("{}", c.itemset), c.support);
-            shown += 1;
-            if shown >= top {
-                break;
-            }
+    let by_support =
+        |a: &(&Itemset, u32), b: &(&Itemset, u32)| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0));
+    let mut rows: Vec<(&Itemset, u32)> = fs.iter().filter(|(is, _)| is.len() >= min_size).collect();
+    if top < rows.len() {
+        if top > 0 {
+            rows.select_nth_unstable_by(top - 1, by_support);
         }
+        rows.truncate(top);
+    }
+    rows.sort_unstable_by(by_support);
+    for (itemset, support) in rows {
+        let _ = writeln!(out, "  {:<40} {:>8}", format!("{itemset}"), support);
     }
     out
 }
@@ -1825,6 +1828,64 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--spawn-local"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn report_rows_equal_a_full_sort() {
+        let path = tempfile("rows");
+        generate(&path, 2000);
+        let db = load_db(&parse_flags(&argv(&["--input", &path])).unwrap()).unwrap();
+        let fs = pipeline::run(
+            &db,
+            MinSupport::from_percent(0.5),
+            &eclat::EclatConfig::default(),
+            &mut OpMeter::new(),
+            &Serial,
+        );
+        // The reference: clone and sort every itemset, print the first `top`.
+        let mut sorted = fs.sorted();
+        sorted.sort_by(|a, b| b.support.cmp(&a.support).then(a.itemset.cmp(&b.itemset)));
+        let ties = sorted.windows(2).filter(|w| w[0].support == w[1].support);
+        assert!(ties.count() > 100, "the input needs support ties");
+        let workers: Vec<_> = (0..2)
+            .map(|_| eclat_net::start_worker(&eclat_net::WorkerConfig::default()).unwrap())
+            .collect();
+        let addrs = workers
+            .iter()
+            .map(|w| w.addr().to_string())
+            .collect::<Vec<_>>()
+            .join(",");
+        // The last case is `--top 0`: the header and no rows.
+        for (min_size, top) in [(1, 1_000_000_000), (2, 20), (5, 7), (2, 0)] {
+            let mut expect = String::new();
+            for c in sorted
+                .iter()
+                .filter(|c| c.itemset.len() >= min_size)
+                .take(top)
+            {
+                let _ = writeln!(
+                    expect,
+                    "  {:<40} {:>8}",
+                    format!("{}", c.itemset),
+                    c.support
+                );
+            }
+            let (min_size, top) = (min_size.to_string(), top.to_string());
+            let args = ["--support", "0.5", "--min-size", &min_size, "--top", &top];
+            for cmd in [&["mine"][..], &["dmine", "--workers", &addrs]] {
+                let full: Vec<&str> = cmd
+                    .iter()
+                    .chain(&["--input", &path])
+                    .chain(&args)
+                    .copied()
+                    .collect();
+                let out = run(&argv(&full)).unwrap();
+                let header = format!("top by support (size >= {min_size}):\n");
+                let rows = out.split_once(&header).expect("a rows header").1;
+                assert_eq!(rows, expect, "{} --min-size {min_size} --top {top}", cmd[0]);
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

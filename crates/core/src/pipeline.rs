@@ -7,10 +7,15 @@
 //!
 //! 1. **Initialization** ([`count_pairs_blocked`] → [`frequent_l2`], plus
 //!    [`insert_frequent_singletons`]) — triangular pair counting on the
-//!    horizontal layout (§5.1);
-//! 2. **Transformation** ([`vertical_classes`]) — build the `L2`
-//!    tid-lists and group them into prefix equivalence classes (§5.2.2,
-//!    §4.1);
+//!    horizontal layout (§5.1), one transaction block per thread; each
+//!    block's counts of the frequent pairs are kept
+//!    ([`PairCounts::block_counts`]);
+//! 2. **Transformation** ([`place_pair_tidlists`]) — build the `L2`
+//!    tid-lists by §6.3 offset placement within the host: every list is
+//!    allocated at its exact support, each block writes its tids at its
+//!    offset on its own thread, and the lists are grouped into prefix
+//!    equivalence classes (§5.2.2, §4.1). [`vertical_classes`] builds the
+//!    same classes in one serial scan;
 //! 3. **Asynchronous phase** ([`mine_classes`]) — per-class mining
 //!    (§5.3) on a [`ClassKernel`], the one step that differs between
 //!    miners: [`Eclat`] mines each class on bitmaps or on diffsets as its
@@ -32,10 +37,12 @@ use crate::compute::{compute_frequent_stats, EclatConfig};
 use crate::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
 pub use crate::executor::{Serial, Threads};
 use crate::schedule::class_weights;
-use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
+use crate::transform::{
+    build_pair_tidlists, count_items, count_pairs, index_pairs, place_pair_tids, PairSlots,
+};
 use dbstore::HorizontalDb;
 use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
-use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter, TriangleMatrix};
+use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter, Tid, TriangleMatrix};
 use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -68,56 +75,120 @@ fn tid_blocks(range: Range<usize>, threads: &Threads) -> Vec<Range<usize>> {
 /// Phase 1 on a [`Threads`] pool: count one contiguous transaction block
 /// per thread and sum-merge the partial triangles (the same reduction
 /// the cluster variants perform across processors). Per-block meters
-/// merge into `meter`, so counts equal the serial pass.
+/// merge into `meter`, so counts equal the serial pass. The partial
+/// triangles stay in the result until [`PairCounts::block_counts`] keeps
+/// what phase 2 needs of them.
 pub fn count_pairs_blocked(
     db: &HorizontalDb,
     threads: &Threads,
     meter: &mut OpMeter,
-) -> TriangleMatrix {
+) -> PairCounts {
     let blocks = tid_blocks(0..db.num_transactions(), threads);
     let weights: Vec<u64> = blocks.iter().map(|r| r.len() as u64).collect();
-    let partials = threads.map(blocks, &weights, |_, _, r| {
+    let partials = threads.map(blocks.clone(), &weights, |_, _, r| {
         let mut m = OpMeter::new();
         (count_pairs(db, r, &mut m), m)
     });
     let mut iter = partials.into_iter();
     let (mut tri, m) = iter.next().expect("at least one block");
     meter.merge(&m);
+    let mut rest = Vec::with_capacity(blocks.len() - 1);
     for (t, m) in iter {
         tri.merge_from(&t);
         meter.merge(&m);
+        rest.push(t);
     }
-    tri
+    PairCounts { tri, blocks, rest }
 }
 
-/// Phase 2's tid-list construction on a [`Threads`] pool: each thread
-/// scans a contiguous sub-range of `range` (ascending tids), then the
-/// per-slot partial lists are stitched in sub-range order — the
-/// intra-host variant of the §6.3 offset placement, so every list comes
-/// out identical to a serial scan. Meters merge to the serial counts.
-pub fn build_pair_tidlists_blocked(
-    db: &HorizontalDb,
-    range: Range<usize>,
-    idx: &mining_types::FxHashMap<(ItemId, ItemId), usize>,
-    threads: &Threads,
-    meter: &mut OpMeter,
-) -> Vec<tidlist::TidList> {
-    let blocks = tid_blocks(range, threads);
-    let weights: Vec<u64> = blocks.iter().map(|r| r.len() as u64).collect();
-    let partials = threads.map(blocks, &weights, |_, _, r| {
-        let mut m = OpMeter::new();
-        (build_pair_tidlists(db, r, idx, &mut m), m)
-    });
-    let mut iter = partials.into_iter();
-    let (mut lists, m) = iter.next().expect("at least one block");
-    meter.merge(&m);
-    for (part, m) in iter {
-        meter.merge(&m);
-        for (slot, p) in part.into_iter().enumerate() {
-            lists[slot].append_partial(&p);
+/// Phase 1's result on a pool: the summed pair counts, plus each block's
+/// own counts for §6.3's offsets.
+pub struct PairCounts {
+    /// The pair counts summed over all blocks.
+    pub tri: TriangleMatrix,
+    /// The transaction blocks, one per thread, in tid order.
+    blocks: Vec<Range<usize>>,
+    /// The partial triangles of blocks 1..; block 0's counts are `tri`
+    /// minus their sum.
+    rest: Vec<TriangleMatrix>,
+}
+
+impl PairCounts {
+    /// Keep each block's count of every pair of `l2` (P × |L2| counts)
+    /// and drop the triangles.
+    pub fn block_counts(self, l2: &[(ItemId, ItemId)]) -> BlockCounts {
+        let of =
+            |tri: &TriangleMatrix| -> Vec<u32> { l2.iter().map(|&(a, b)| tri.get(a, b)).collect() };
+        let mut counts = vec![of(&self.tri)];
+        for t in &self.rest {
+            let block = of(t);
+            for (first, c) in counts[0].iter_mut().zip(&block) {
+                *first -= c;
+            }
+            counts.push(block);
+        }
+        BlockCounts {
+            blocks: self.blocks,
+            counts,
         }
     }
-    lists
+}
+
+/// Each phase-1 block's count of every frequent pair: where the block's
+/// tids go in each global tid-list (§6.3's offset placement).
+pub struct BlockCounts {
+    /// The transaction blocks, in tid order.
+    blocks: Vec<Range<usize>>,
+    /// `counts[b][s]`: block `b`'s count of pair slot `s`.
+    counts: Vec<Vec<u32>>,
+}
+
+/// Phase 2's tid-list construction on a [`Threads`] pool, by §6.3 offset
+/// placement. Every global list is allocated at exactly its support and
+/// cut into one window per block, at the summed counts of the blocks
+/// before it; each block's task scans its transactions and writes its
+/// tids straight into its windows ([`place_pair_tids`]), so nothing is
+/// pushed, grown or stitched. The lists equal the serial
+/// [`build_pair_tidlists`] over `l2` and the merged meters its counts.
+///
+/// # Panics
+/// Panics if `counts` disagree with the database (a window is not
+/// filled exactly), or `l2` is not ordered and duplicate-free.
+pub fn place_pair_tidlists(
+    db: &HorizontalDb,
+    l2: &[(ItemId, ItemId)],
+    counts: &BlockCounts,
+    threads: &Threads,
+    meter: &mut OpMeter,
+) -> Vec<TidList> {
+    let slots = PairSlots::new(l2);
+    let mut lists: Vec<Vec<Tid>> = (0..l2.len())
+        .map(|s| vec![Tid(0); counts.counts.iter().map(|c| c[s] as usize).sum()])
+        .collect();
+    let mut windows: Vec<Vec<&mut [Tid]>> = counts
+        .blocks
+        .iter()
+        .map(|_| Vec::with_capacity(l2.len()))
+        .collect();
+    for (s, list) in lists.iter_mut().enumerate() {
+        let mut rest = list.as_mut_slice();
+        for (block, c) in windows.iter_mut().zip(&counts.counts) {
+            let (window, tail) = rest.split_at_mut(c[s] as usize);
+            block.push(window);
+            rest = tail;
+        }
+    }
+    let tasks: Vec<_> = counts.blocks.iter().cloned().zip(windows).collect();
+    let weights: Vec<u64> = counts.blocks.iter().map(|r| r.len() as u64).collect();
+    let meters = threads.map(tasks, &weights, |_, _, (range, windows)| {
+        let mut m = OpMeter::new();
+        place_pair_tids(db, range, &slots, windows, &mut m);
+        m
+    });
+    for m in &meters {
+        meter.merge(m);
+    }
+    lists.into_iter().map(TidList::from_sorted).collect()
 }
 
 /// Extract the frequent pair list from phase 1's triangular counts.
@@ -148,8 +219,10 @@ pub fn insert_frequent_singletons(
     (counts.len() as u64, inserted)
 }
 
-/// Phase 2: vertical transformation — one ordered scan building the `L2`
-/// tid-lists, grouped into prefix equivalence classes.
+/// Phase 2 in one serial scan: the `L2` tid-lists pushed in tid order,
+/// needing no phase-1 counts, grouped into prefix equivalence classes.
+/// The driver places the same lists on its pool instead
+/// ([`place_pair_tidlists`]).
 pub fn vertical_classes(
     db: &HorizontalDb,
     l2: &[(ItemId, ItemId)],
@@ -157,6 +230,12 @@ pub fn vertical_classes(
 ) -> Vec<EquivalenceClass> {
     let idx = index_pairs(l2);
     let lists = build_pair_tidlists(db, 0..db.num_transactions(), &idx, meter);
+    classes_of_lists(l2, lists)
+}
+
+/// Group the tid-lists of `l2`'s pairs (aligned with `l2`) into prefix
+/// equivalence classes.
+fn classes_of_lists(l2: &[(ItemId, ItemId)], lists: Vec<TidList>) -> Vec<EquivalenceClass> {
     classes_of_l2(
         l2.iter()
             .zip(lists)
@@ -493,13 +572,17 @@ pub fn run_stats_on(
     let mut out = FrequentSet::new();
     let start_ops = *meter;
 
-    // --- Phase 1 (initialization, §5.1): triangular counts of all pairs.
-    let (l2, cells, singletons) = phase(PHASE_INIT, &mut stats, meter, |meter| {
-        let tri = count_pairs_blocked(db, threads, meter);
+    // --- Phase 1 (initialization, §5.1): triangular counts of all pairs,
+    // keeping each block's counts of the frequent ones for phase 2.
+    let (l2, cells, singletons, block_counts) = phase(PHASE_INIT, &mut stats, meter, |meter| {
+        let counts = count_pairs_blocked(db, threads, meter);
         let singletons = cfg
             .include_singletons
             .then(|| insert_frequent_singletons(db, threshold, meter, &mut out));
-        (frequent_l2(&tri, threshold), tri.cells() as u64, singletons)
+        let l2 = frequent_l2(&counts.tri, threshold);
+        let cells = counts.tri.cells() as u64;
+        let block_counts = counts.block_counts(&l2);
+        (l2, cells, singletons, block_counts)
     });
     stats.record_level(2, cells, l2.len() as u64);
     if let Some((counted, inserted)) = singletons {
@@ -507,9 +590,11 @@ pub fn run_stats_on(
     }
 
     if !l2.is_empty() {
-        // --- Phase 2 (transformation, §5.2.2): vertical tid-lists for L2.
+        // --- Phase 2 (transformation, §5.2.2 + §6.3): vertical tid-lists
+        // for L2, placed block by block.
         let classes = phase(PHASE_TRANSFORM, &mut stats, meter, |meter| {
-            vertical_classes(db, &l2, meter)
+            let lists = place_pair_tidlists(db, &l2, &block_counts, threads, meter);
+            classes_of_lists(&l2, lists)
         });
 
         // --- Phase 3 (asynchronous, §5.3): per-class mining.
@@ -622,28 +707,68 @@ mod tests {
         }
     }
 
+    /// `(db, threshold)` inputs for the blocked phases: a random database;
+    /// one whose frequent pairs each miss a block at P 2 (items 0–2 fill
+    /// the first half, 2–4 the second); five transactions, so P ≥ 3 keeps
+    /// one block; and the empty database.
+    fn blocked_inputs() -> Vec<(HorizontalDb, u32)> {
+        let halves: Vec<&[u32]> = [&[0, 1, 2][..]; 10]
+            .into_iter()
+            .chain([&[2, 3, 4][..]; 10])
+            .collect();
+        vec![
+            (random_db(41, 300, 12, 6), 5),
+            (HorizontalDb::of(&halves), 3),
+            (
+                HorizontalDb::of(&[&[0, 1, 2], &[0, 1], &[1, 2], &[0, 2], &[0, 1, 2]]),
+                2,
+            ),
+            (HorizontalDb::of(&[]), 1),
+        ]
+    }
+
     #[test]
     fn blocked_phases_match_serial_scans() {
-        let db = random_db(41, 300, 12, 6);
-        let mut m_tri = OpMeter::new();
-        let tri = count_pairs(&db, 0..db.num_transactions(), &mut m_tri);
-        let l2 = frequent_l2(&tri, 5);
-        assert!(!l2.is_empty());
-        let idx = index_pairs(&l2);
-        let mut m_serial = OpMeter::new();
-        let serial = build_pair_tidlists(&db, 0..db.num_transactions(), &idx, &mut m_serial);
-        for p in PS {
-            let threads = Threads::new(p);
-            let mut m = OpMeter::new();
-            let blocked_tri = count_pairs_blocked(&db, &threads, &mut m);
-            assert_eq!(blocked_tri.raw(), tri.raw(), "P={p}");
-            assert_eq!(m, m_tri, "P={p}");
-            let mut m = OpMeter::new();
-            let blocked =
-                build_pair_tidlists_blocked(&db, 0..db.num_transactions(), &idx, &threads, &mut m);
-            assert_eq!(blocked, serial, "P={p}");
-            assert_eq!(m, m_serial, "P={p}");
+        for (n, (db, threshold)) in blocked_inputs().into_iter().enumerate() {
+            let mut m_tri = OpMeter::new();
+            let tri = count_pairs(&db, 0..db.num_transactions(), &mut m_tri);
+            let l2 = frequent_l2(&tri, threshold);
+            assert_eq!(l2.is_empty(), db.num_transactions() == 0, "input {n}");
+            let idx = index_pairs(&l2);
+            let mut m_serial = OpMeter::new();
+            let serial = build_pair_tidlists(&db, 0..db.num_transactions(), &idx, &mut m_serial);
+            for p in PS {
+                let threads = Threads::new(p);
+                let mut m = OpMeter::new();
+                let counts = count_pairs_blocked(&db, &threads, &mut m);
+                assert_eq!(counts.tri, tri, "input {n} P={p}");
+                assert_eq!(m, m_tri, "input {n} P={p}");
+                let one_block = p == 1 || db.num_transactions() < 2 * p;
+                assert_eq!(counts.blocks.len() == 1, one_block, "input {n} P={p}");
+                let block_counts = counts.block_counts(&l2);
+                if n == 1 && p == 2 {
+                    for (b, c) in block_counts.counts.iter().enumerate() {
+                        assert!(c.contains(&0), "block {b} misses a frequent pair");
+                    }
+                }
+                let mut m = OpMeter::new();
+                let placed = place_pair_tidlists(&db, &l2, &block_counts, &threads, &mut m);
+                assert_eq!(placed, serial, "input {n} P={p}");
+                assert_eq!(m, m_serial, "input {n} P={p}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "short of its count")]
+    fn placement_trips_on_counts_that_disagree_with_the_scan() {
+        let (db, threshold) = blocked_inputs().swap_remove(0);
+        let threads = Threads::new(2);
+        let counts = count_pairs_blocked(&db, &threads, &mut OpMeter::new());
+        let l2 = frequent_l2(&counts.tri, threshold);
+        let mut block_counts = counts.block_counts(&l2);
+        block_counts.counts[1][0] += 1;
+        place_pair_tidlists(&db, &l2, &block_counts, &threads, &mut OpMeter::new());
     }
 
     /// `(side, db, minsup %)`: T10.I6 samples whose classes are all

@@ -24,7 +24,7 @@ use dbstore::{binfmt, SpillMetrics, SpillStore};
 use eclat::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
 use eclat::pipeline::{self, Threads};
 use eclat::schedule::class_weights;
-use eclat::transform::{count_items, index_pairs};
+use eclat::transform::count_items;
 use mining_types::stats::ClassStats;
 use mining_types::{FrequentSet, ItemId, Itemset, OpMeter};
 use std::collections::{BTreeMap, HashMap};
@@ -671,7 +671,7 @@ impl Session<'_> {
         let threads = Threads::new(self.cfg.threads);
         let t = Instant::now();
         let mut init_ops = OpMeter::new();
-        let tri = pipeline::count_pairs_blocked(&db, &threads, &mut init_ops);
+        let counts = pipeline::count_pairs_blocked(&db, &threads, &mut init_ops);
         let items = if want_items {
             count_items(&db, 0..db.num_transactions(), &mut init_ops)
         } else {
@@ -682,7 +682,7 @@ impl Session<'_> {
         self.send(&Message::Counts {
             run_id: self.run_id,
             num_items: db.num_items(),
-            triangle: tri.raw().to_vec(),
+            triangle: counts.tri.raw().to_vec(),
             items,
         })?;
         drop(span_init);
@@ -712,21 +712,26 @@ impl Session<'_> {
                 self.num_workers
             )));
         }
+        // Placement reads each pair's count from this host's triangle, so
+        // the pairs must be ascending, ordered and in its item range.
+        let n = db.num_items();
+        let in_range = |&(a, b): &(u32, u32)| a < b && b < n;
+        if !l2.iter().all(in_range) || !l2.windows(2).all(|w| w[0] < w[1]) {
+            return Err(NetError::Protocol(format!(
+                "plan pairs must be ascending, ordered and below {n} items"
+            )));
+        }
 
-        // ---- Transformation (§5.2.2 + §6.3): local partials, exchange.
+        // ---- Transformation (§5.2.2 + §6.3): local partials, placed by
+        // this host's blocks, then the exchange.
         let span_transform = eclat_obs::trace::span(crate::PHASE_TRANSFORM);
         let t = Instant::now();
         let mut transform_ops = OpMeter::new();
         let pairs: Vec<(ItemId, ItemId)> =
             l2.iter().map(|&(a, b)| (ItemId(a), ItemId(b))).collect();
-        let idx = index_pairs(&pairs);
-        let lists = pipeline::build_pair_tidlists_blocked(
-            &db,
-            0..db.num_transactions(),
-            &idx,
-            &threads,
-            &mut transform_ops,
-        );
+        let block_counts = counts.block_counts(&pairs);
+        let lists =
+            pipeline::place_pair_tidlists(&db, &pairs, &block_counts, &threads, &mut transform_ops);
         let routed = route_partials(&lists, &slot_owner, self.num_workers, tid_offset);
         drop(lists);
         self.stats.compute_secs += t.elapsed().as_secs_f64();

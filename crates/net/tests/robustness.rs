@@ -101,6 +101,51 @@ fn duplicate_run_id_is_refused() {
 }
 
 #[test]
+fn plan_pairs_outside_the_block_are_rejected() {
+    // Each plan must be refused with a diagnostic before the worker
+    // places tids by it: an item beyond the block's universe, an
+    // unordered pair, and pairs out of ascending order.
+    let db = random_db(2, 40, 8, 4);
+    let mut block = Vec::new();
+    binfmt::write_horizontal(&db, &mut block).unwrap();
+    let bad_plans = [vec![(0, 8)], vec![(3, 1)], vec![(1, 2), (0, 1)]];
+    let worker = start_worker(&fast_worker_config()).unwrap();
+    for (run_id, l2) in (500..).zip(bad_plans) {
+        let mut s = TcpStream::connect(worker.addr()).unwrap();
+        let hello = Message::Hello {
+            version: PROTOCOL_VERSION,
+            run_id,
+            rank: 0,
+            num_workers: 1,
+        };
+        send_msg(&mut s, &hello);
+        assert!(matches!(recv_msg(&mut s), Message::HelloAck { .. }));
+        let assign = Message::Assign {
+            run_id,
+            threshold: 1,
+            tid_offset: 0,
+            flags: 0,
+            block: block.clone(),
+        };
+        send_msg(&mut s, &assign);
+        assert!(matches!(recv_msg(&mut s), Message::Counts { .. }));
+        let plan = Message::Plan {
+            run_id,
+            slot_owner: vec![0; l2.len()],
+            l2: l2.clone(),
+            peers: vec![worker.addr().to_string()],
+        };
+        send_msg(&mut s, &plan);
+        match recv_msg(&mut s) {
+            Message::Abort { message, .. } => {
+                assert!(message.contains("plan pairs"), "{l2:?}: {message}")
+            }
+            other => panic!("{l2:?}: expected Abort, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn partials_for_unknown_run_are_rejected() {
     let worker = start_worker(&WorkerConfig::default()).unwrap();
     let mut s = TcpStream::connect(worker.addr()).unwrap();

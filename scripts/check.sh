@@ -55,6 +55,23 @@ cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t20.ech" \
     --support 1 --algorithm parallel "${whole[@]}" > "$tmpdir/mine_t20_par_all.out"
 diff <(tail -n +2 "$tmpdir/mine_t20_all.out") <(tail -n +2 "$tmpdir/mine_t20_par_all.out")
 
+echo "==> mine --algorithm parallel --stats=json: same op counts as mine (t10)"
+# Phase 2 runs by offset placement on the pool, phase 1 blocked; both
+# must meter exactly what the serial scans do. Seconds are dropped.
+ops_of() { grep -o '"total_ops":{[^}]*}\|"label":"[a-z]*"\|"ops":{[^}]*}' "$1"; }
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --stats=json > "$tmpdir/mine_stats.json"
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --algorithm parallel --stats=json > "$tmpdir/mine_par_stats.json"
+test "$(ops_of "$tmpdir/mine_stats.json" | grep -c '"label":')" -eq 3
+diff <(ops_of "$tmpdir/mine_stats.json") <(ops_of "$tmpdir/mine_par_stats.json")
+
+echo "==> mine --top 0 prints the report header and no itemset rows (t10)"
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --top 0 > "$tmpdir/mine_top0.out"
+test "$(tail -n 1 "$tmpdir/mine_top0.out")" = "top by support (size >= 2):"
+test "$(grep -c '^  {' "$tmpdir/mine_top0.out" || true)" = 0
+
 echo "==> mine --algorithm clique|apriori == mine; --maximal parallel == --maximal (t10)"
 # Every algorithm reports itemsets of size >= 2, so whole-set bodies
 # match; --maximal --algorithm parallel runs MaxEclat on every core.

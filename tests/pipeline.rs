@@ -113,3 +113,31 @@ fn partitioned_mining_block_structure() {
     }
     assert_eq!(stitched, global);
 }
+
+#[test]
+fn placed_transform_matches_the_serial_scan() {
+    // Phase 2 on a pool places each block's tids at the block's offset in
+    // exact-size lists (§6.3); the lists and the op counts must equal one
+    // serial scan's.
+    let params = QuestParams::t10_i6(3_000).with_seed(21);
+    let db = HorizontalDb::from_transactions(QuestGenerator::new(params).generate_all());
+    let threshold = MinSupport::from_percent(0.5).count_threshold(db.num_transactions());
+    let tri = eclat::transform::count_pairs(&db, 0..db.num_transactions(), &mut OpMeter::new());
+    let l2 = eclat::pipeline::frequent_l2(&tri, threshold);
+    assert!(l2.len() > 50, "{} frequent pairs", l2.len());
+    let idx = eclat::transform::index_pairs(&l2);
+    let mut m_serial = OpMeter::new();
+    let serial =
+        eclat::transform::build_pair_tidlists(&db, 0..db.num_transactions(), &idx, &mut m_serial);
+    for p in [1, 2] {
+        let threads = eclat::pipeline::Threads::new(p);
+        let counts = eclat::pipeline::count_pairs_blocked(&db, &threads, &mut OpMeter::new());
+        assert_eq!(counts.tri, tri, "P={p}");
+        let block_counts = counts.block_counts(&l2);
+        let mut m = OpMeter::new();
+        let placed =
+            eclat::pipeline::place_pair_tidlists(&db, &l2, &block_counts, &threads, &mut m);
+        assert_eq!(placed, serial, "P={p}");
+        assert_eq!(m, m_serial, "P={p}");
+    }
+}
